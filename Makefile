@@ -4,7 +4,7 @@ GO ?= go
 # race-detector tier in `make check`.
 RACE_PKGS := ./internal/core/... ./internal/wire/... ./internal/server/... ./internal/storage/... ./internal/transport/... ./internal/telemetry/... ./internal/recman/... ./internal/locallog/... ./internal/loadassign/... ./internal/retention/...
 
-.PHONY: all build test race check bench vet fmt crashaudit soak
+.PHONY: all build test race check bench vet fmt crashaudit soak perfbench
 
 all: check
 
@@ -40,9 +40,18 @@ crashaudit:
 soak:
 	DISTLOG_SOAK=1 $(GO) test ./internal/recman/ -run TestSoakET1WeekDiskPlateau -v -timeout 30m -count=1
 
+# perfbench/ is a Go module of its own (it imports this one through a
+# replace directive), so `go build ./...` above never compiles it. This
+# step does, so a change that removes an API the benchmark uses fails
+# here rather than in the benchmark run. Binaries land in the ignored
+# .bench_build/ directory.
+perfbench:
+	cd perfbench && GOWORK=off $(GO) build -o ../.bench_build/check/ ./... && GOWORK=off $(GO) vet ./...
+
 # check is the CI gate: tier-1 build+tests, vet, the race tier over the
-# client/wire/server packages, and the crash-point audit.
-check: build test vet race crashaudit
+# client/wire/server packages, the crash-point audit, and the benchmark
+# module's build.
+check: build test vet race crashaudit perfbench
 
 # bench runs the write-path and read-path benchmarks and records the
 # results in BENCH_writepath.json and BENCH_readpath.json (see bench.sh).

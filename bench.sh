@@ -15,9 +15,12 @@
 #   BenchmarkUDPRecvAllocs          allocation budget for the pooled UDP
 #                                   receive path (send+recv+release)
 #   BenchmarkMultiClientForce       aggregate forces/s across 1/4/8/16
-#                                   concurrent clients, FileStore and
+#                                   concurrent clients, the segmented
+#                                   file store (seg, fsync) and the
 #                                   modelled DiskStore (server-side group
 #                                   force scaling)
+#   BenchmarkSegStoreAppendForce    one 100-byte append plus fsync on the
+#                                   segmented file store, no network
 #   BenchmarkStreamingWrite         single-client sustained records/s on a
 #                                   200µs-latency memnet: synchronous
 #                                   force-rounds baseline vs the streaming
@@ -100,6 +103,7 @@ RAW=$RAW1
 run ./internal/core/ -run '^$' -benchmem \
 	-bench 'BenchmarkWritePathAllocs|BenchmarkTelemetryOverhead|BenchmarkForceLogMemnet|BenchmarkParallelForce|BenchmarkGroupCommit$'
 run ./internal/transport/ -run '^$' -benchmem -bench 'BenchmarkUDPRecvAllocs'
+run ./internal/storage/ -run '^$' -benchmem -bench 'BenchmarkSegStoreAppendForce'
 run . -run '^$' -benchmem -bench 'BenchmarkGroupCommitTransactions|BenchmarkMultiClientForce|BenchmarkStreamingWrite|BenchmarkAggregateForce|BenchmarkMigrationUnderET1Load|BenchmarkForceUnderCompaction|BenchmarkStreamScaling'
 cat "$RAW"
 to_json

@@ -321,6 +321,9 @@ type ReplicatedLog struct {
 	streamIdx int
 	shared    bool
 	lastLSN   atomic.Uint64
+	// lastFlip is when (UnixNano) a retransmission timeout last switched
+	// a dual endpoint's network; kept on the log that owns the endpoint.
+	lastFlip atomic.Int64
 }
 
 // Open dials the log servers, runs the client initialization and
@@ -453,7 +456,7 @@ func (l *ReplicatedLog) dial(addr string) (*session, error) {
 		sess := newSession(l.cfg.Endpoint, addr, l.cfg.ClientID, connID,
 			l.cfg.Window, l.cfg.OverAllocPause, l.cfg.CallTimeout, l.cfg.Retries)
 		if flipper, ok := l.cfg.Endpoint.(interface{ Flip() }); ok {
-			sess.onRetry = flipper.Flip
+			sess.onRetry = func() { l.flipNetwork(flipper) }
 		}
 		// Window and wakeups are wired before the session is published:
 		// deliver reads the callbacks without sess.mu.
@@ -939,6 +942,23 @@ func (l *ReplicatedLog) sendBurstLocked(sess *session, force bool) error {
 // onto shared force rounds (group commit) and each round waits for its
 // N server acknowledgments in parallel.
 
+// flipNetwork switches a dual endpoint to its other network after a
+// retransmission timeout, unless a flip already happened within the
+// last CallTimeout. Every session waiting through one outage times out
+// at about the same moment; a timeout whose wait overlapped another's
+// flip is already answered by it, and a second flip would switch back
+// to the dead network.
+func (l *ReplicatedLog) flipNetwork(f interface{ Flip() }) {
+	owner := l
+	if l.parent != nil {
+		owner = l.parent
+	}
+	now, last := time.Now().UnixNano(), owner.lastFlip.Load()
+	if now-last >= int64(l.cfg.CallTimeout) && owner.lastFlip.CompareAndSwap(last, now) {
+		f.Flip()
+	}
+}
+
 // awaitServer waits until the given server acknowledges target,
 // retransmitting on NACK or timeout, and ultimately failing over.
 func (l *ReplicatedLog) awaitServer(addr string, target record.LSN) error {
@@ -1292,88 +1312,6 @@ func (l *ReplicatedLog) ReadRecord(lsn record.LSN) (record.Record, error) {
 
 func (l *ReplicatedLog) cacheRecord(rec record.Record) {
 	l.readCache.put(rec)
-}
-
-// ReadRecordsBackward returns a batch of records with descending LSNs
-// starting at from, fetched with a single ReadLogBackward call to one
-// holder (Section 4.2: read replies pack as many consecutive records
-// as fit one packet). The batch ends where the serving holder's
-// records end or where a stale copy would have been returned; callers
-// scanning further continue from the last LSN minus one. The batch
-// always contains the record at from on success.
-func (l *ReplicatedLog) ReadRecordsBackward(from record.LSN) ([]record.Record, error) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if from == 0 || from >= l.nextLSN {
-		l.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d (end of log %d)", ErrBeyondEnd, from, l.nextLSN-1)
-	}
-	if from < l.truncated {
-		l.mu.Unlock()
-		return []record.Record{{LSN: from, Present: false}}, nil
-	}
-	// Outstanding (unacknowledged) records are local; serve the head
-	// record directly rather than mixing buffered and remote batches.
-	for _, rec := range l.outstanding {
-		if rec.LSN == from {
-			l.mu.Unlock()
-			return []record.Record{rec.Clone()}, nil
-		}
-	}
-	servers := l.holders.serversFor(from)
-	covered := l.holders.covered(from)
-	l.mu.Unlock()
-
-	if !covered {
-		return []record.Record{{LSN: from, Present: false}}, nil
-	}
-	req := (&wire.LSNPayload{LSN: from}).Encode()
-	var firstErr error
-	for _, addr := range servers {
-		sess, err := l.dial(addr)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		resp, err := sess.call(wire.TReadBackwardReq, req)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		p, err := wire.DecodeRecordsPayload(resp.Payload)
-		if err != nil || len(p.Records) == 0 || p.Records[0].LSN != from {
-			continue
-		}
-		// Keep the descending prefix whose epochs match the client's
-		// view; a stale lower-epoch copy ends the batch.
-		l.mu.Lock()
-		var out []record.Record
-		next := from
-		for _, rec := range p.Records {
-			if rec.LSN != next || rec.LSN < l.truncated || rec.Epoch < l.holders.epochFor(rec.LSN) {
-				break
-			}
-			out = append(out, rec)
-			l.cacheRecord(rec)
-			next = rec.LSN - 1
-		}
-		l.m.reads.Add(uint64(len(out)))
-		l.mu.Unlock()
-		if len(out) > 0 {
-			return out, nil
-		}
-	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("%w: LSN %d on %v", ErrUnavailable, from, servers)
-	}
-	return nil, firstErr
 }
 
 // ReadLog returns the data of the record with the given LSN (Section

@@ -747,76 +747,10 @@ func BenchmarkForceLogMemnet(b *testing.B) {
 	}
 }
 
-func TestReadRecordsBackward(t *testing.T) {
-	c := newCluster(t, "s1", "s2", "s3")
-	l := mustOpen(t, c, 1, 2)
-	defer l.Close()
-	var lsns []record.LSN
-	for i := 0; i < 20; i++ {
-		lsn, err := l.WriteLog([]byte(fmt.Sprintf("b%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lsns = append(lsns, lsn)
-	}
-	if err := l.Force(); err != nil {
-		t.Fatal(err)
-	}
-	from := lsns[len(lsns)-1]
-	recs, err := l.ReadRecordsBackward(from)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) < 2 {
-		t.Fatalf("backward batch of %d records; packing failed", len(recs))
-	}
-	for i, rec := range recs {
-		if rec.LSN != from-record.LSN(i) {
-			t.Fatalf("batch[%d].LSN = %d, want %d", i, rec.LSN, from-record.LSN(i))
-		}
-		// Below the 20 written records lie the initialization's δ
-		// not-present markers; everything above them is present.
-		if rec.LSN >= lsns[0] && !rec.Present {
-			t.Fatalf("batch[%d] (LSN %d) not present", i, rec.LSN)
-		}
-	}
-	// A full backward scan via batches reaches the δ markers and then
-	// LSN 1 territory.
-	seen := 0
-	cursor := from
-	for cursor >= 1 {
-		batch, err := l.ReadRecordsBackward(cursor)
-		if err != nil {
-			t.Fatalf("ReadRecordsBackward(%d): %v", cursor, err)
-		}
-		seen += len(batch)
-		last := batch[len(batch)-1].LSN
-		if last == 1 {
-			break
-		}
-		cursor = last - 1
-	}
-	if seen < 20 {
-		t.Fatalf("backward scan saw %d records", seen)
-	}
-	// Beyond end rejected.
-	if _, err := l.ReadRecordsBackward(l.EndOfLog() + 1); !errors.Is(err, ErrBeyondEnd) {
-		t.Fatalf("beyond end: %v", err)
-	}
-	// Unacknowledged head served locally.
-	lsn, err := l.WriteLog([]byte("unforced"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := l.ReadRecordsBackward(lsn)
-	if err != nil || len(batch) != 1 || string(batch[0].Data) != "unforced" {
-		t.Fatalf("buffered head: %v, %v", batch, err)
-	}
-}
-
 func TestReadRecordsBackwardSkipsStaleCopies(t *testing.T) {
 	// Figure 3.3 state: server 3 has stale epoch-3 copies of records 9
-	// and 10. A backward read served by server 3 must not leak them.
+	// and 10. A backward scan whose holder answers with them must not
+	// leak them.
 	c := newCluster(t, "s1", "s2", "s3")
 	seed := func(name string, recs ...record.Record) {
 		for _, r := range recs {
@@ -842,21 +776,59 @@ func TestReadRecordsBackwardSkipsStaleCopies(t *testing.T) {
 	defer l.Close()
 	c.start("s3") // the stale epoch-3 copies of 9 and 10 are back online
 
-	// Backward batches never leak server 3's stale copies: record 10
-	// reads not-present at epoch 4 and record 9 carries epoch 4.
-	recs, err := l.ReadRecordsBackward(10)
+	// The holder a scan of records 9-10 tries first comes back with
+	// server 3's stale disk (restored from an old copy), so its reply
+	// starts with a lower-epoch copy.
+	l.mu.Lock()
+	first := l.holders.serversFor(10)[0]
+	l.mu.Unlock()
+	c.stop(first)
+	c.stores[first] = storage.NewMemStore()
+	seed(first, pr(3, 3), np(4, 3), pr(5, 3), pr(8, 3), pr(9, 3), pr(10, 3))
+	c.start(first)
+	// A forced write re-establishes the client's sessions with the
+	// restarted server, so the scan below reaches its store.
+	if _, err := l.ForceLog([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	restarts := l.Stats().StreamRestarts
+
+	// The lower-epoch copy ends that holder's run, and the cursor
+	// fetches the position again from another holder: record 10 reads
+	// not-present at epoch 4 and record 9 carries epoch 4.
+	cur, err := l.OpenCursor(10, Backward)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recs[0].LSN != 10 || recs[0].Present || recs[0].Epoch != 4 {
-		t.Fatalf("ReadRecordsBackward(10)[0] = %v, want not-present at epoch 4", recs[0])
+	defer cur.Close()
+	want := record.LSN(10)
+	for ; ; want-- {
+		rec, err := cur.Next()
+		if errors.Is(err, ErrBeyondEnd) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("Next at LSN %d: %v", want, err)
+		}
+		if rec.LSN != want {
+			t.Fatalf("Next = LSN %d, want %d", rec.LSN, want)
+		}
+		switch want {
+		case 10:
+			if rec.Present || rec.Epoch != 4 {
+				t.Fatalf("LSN 10 = %v, want not-present at epoch 4", rec)
+			}
+		case 9:
+			if rec.Epoch != 4 || !rec.Present || string(rec.Data) != "<9,3>" {
+				t.Fatalf("LSN 9 = %v, want recovered copy at epoch 4", rec)
+			}
+		}
 	}
-	recs, err = l.ReadRecordsBackward(9)
-	if err != nil {
-		t.Fatal(err)
+	if want != 0 {
+		t.Fatalf("backward scan ended at LSN %d, want below LSN 1", want)
 	}
-	if recs[0].Epoch != 4 || !recs[0].Present || string(recs[0].Data) != "<9,3>" {
-		t.Fatalf("ReadRecordsBackward(9)[0] = %v, want recovered copy at epoch 4", recs[0])
+	if l.Stats().StreamRestarts == restarts {
+		t.Fatal("no stream was restarted: the stale holder was never read")
 	}
 }
 

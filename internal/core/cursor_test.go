@@ -115,6 +115,9 @@ func TestCursorBackwardLossyMidStreamFailover(t *testing.T) {
 	written := writeForced(t, l, 120)
 	end := l.EndOfLog()
 	ws := l.WriteSet()
+	if _, err := l.OpenCursor(end+1, Backward); !errors.Is(err, ErrBeyondEnd) {
+		t.Fatalf("OpenCursor past end = %v, want ErrBeyondEnd", err)
+	}
 
 	c.net.SetFaults(transport.Faults{
 		DropProb: 0.10,

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"distlog/internal/record"
 	"distlog/internal/transport"
 	"distlog/internal/wire"
 )
@@ -171,4 +172,117 @@ func TestForceStatsConsistentAfterClose(t *testing.T) {
 	if after.Forces != before.Forces || after.ForceRounds != before.ForceRounds || after.GroupCommits != before.GroupCommits {
 		t.Fatalf("ErrClosed forces changed stats: before %+v, after %+v", before, after)
 	}
+}
+
+// replyFirstEndpoint forces the lost-reply interleaving: Send of the
+// first packet of the armed request type returns only after the
+// client's receive pump has consumed the reply to it (the pump has come
+// back to Recv for the next packet). A session that registers its
+// reply sink only after Send returns finds the reply already gone.
+type replyFirstEndpoint struct {
+	transport.Endpoint
+
+	mu      sync.Mutex
+	arm     wire.Type     // request type to hold; 0 once it has been held
+	want    uint64        // Seq of the held request
+	replied bool          // the pump has taken the reply to want
+	done    chan struct{} // closed when the pump comes back after the reply
+}
+
+func (e *replyFirstEndpoint) Send(to string, data []byte) error {
+	pkt, err := wire.Decode(data)
+	e.mu.Lock()
+	hold := err == nil && e.arm != 0 && pkt.Type == e.arm
+	if hold {
+		e.arm, e.want, e.done = 0, pkt.Seq, make(chan struct{})
+	}
+	done := e.done
+	e.mu.Unlock()
+	if err := e.Endpoint.Send(to, data); err != nil {
+		return err
+	}
+	if hold {
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+		}
+	}
+	return nil
+}
+
+func (e *replyFirstEndpoint) Recv(timeout time.Duration) (transport.Packet, error) {
+	e.mu.Lock()
+	if e.replied {
+		e.replied = false
+		close(e.done)
+	}
+	e.mu.Unlock()
+	p, err := e.Endpoint.Recv(timeout)
+	if err == nil {
+		if pkt, derr := wire.Decode(p.Data); derr == nil {
+			e.mu.Lock()
+			if e.want != 0 && pkt.RespTo == e.want {
+				e.want, e.replied = 0, true
+			}
+			e.mu.Unlock()
+		}
+	}
+	return p, err
+}
+
+// TestReplyBeforeSendReturnsIsNotLost pins the lost-reply race: a
+// session registered a call's reply channel (and a read stream's chunk
+// sink) only after peer.Send returned, so a reply that arrived first
+// was dropped and the call sat out a whole CallTimeout before retrying.
+// The endpoint above makes the reply win every time; the call and the
+// stream must still complete well inside one timeout.
+func TestReplyBeforeSendReturnsIsNotLost(t *testing.T) {
+	const callTimeout = time.Second
+	hold := func(ty wire.Type) func(*Config) {
+		return func(cfg *Config) {
+			cfg.Endpoint = &replyFirstEndpoint{Endpoint: cfg.Endpoint, arm: ty}
+			cfg.CallTimeout = callTimeout
+		}
+	}
+	t.Run("call", func(t *testing.T) {
+		c := newCluster(t, "s1", "s2", "s3")
+		start := time.Now()
+		l := mustOpen(t, c, 1, 2, hold(wire.TIntervalListReq))
+		defer l.Close()
+		if d := time.Since(start); d > callTimeout/2 {
+			t.Fatalf("Open took %v: the interval-list reply that beat Send was dropped", d)
+		}
+	})
+	t.Run("stream", func(t *testing.T) {
+		c := newCluster(t, "s1", "s2", "s3")
+		w := mustOpen(t, c, 1, 2)
+		for i := 0; i < 5; i++ {
+			if _, err := w.WriteLog([]byte(fmt.Sprintf("r%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Force(); err != nil {
+			t.Fatal(err)
+		}
+		end := w.EndOfLog()
+		w.Close()
+
+		l := mustOpen(t, c, 1, 2, hold(wire.TReadStreamReq))
+		defer l.Close()
+		start := time.Now()
+		cur, err := l.OpenCursor(1, Forward)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cur.Close()
+		for lsn := record.LSN(1); lsn <= end; lsn++ {
+			rec, err := cur.Next()
+			if err != nil || rec.LSN != lsn {
+				t.Fatalf("Next = %v, %v; want LSN %d", rec, err, lsn)
+			}
+		}
+		if d := time.Since(start); d > callTimeout/2 {
+			t.Fatalf("scan took %v: the first stream chunk that beat Send was dropped", d)
+		}
+	})
 }

@@ -135,14 +135,10 @@ func newSession(ep transport.Endpoint, addr string, clientID record.ClientID, co
 // Syn, await SynAck (via the receive pump), send Ack.
 func (s *session) handshake() error {
 	for attempt := 0; attempt <= s.retries; attempt++ {
-		ch := make(chan *wire.Packet, 1)
-		seq, err := s.peer.Send(wire.TSyn, 0, nil)
+		seq, ch, err := s.sendRequest(wire.TSyn, nil, 0, nil)
 		if err != nil {
 			return err
 		}
-		s.mu.Lock()
-		s.pending[seq] = ch
-		s.mu.Unlock()
 
 		timer := time.NewTimer(s.callTimeout)
 		select {
@@ -213,22 +209,15 @@ func (s *session) deliver(pkt *wire.Packet) {
 		cp := *pkt
 		ch <- &cp
 	case pkt.Type == wire.TNewHighLSN:
-		// Decoded inline: the streamed-ack path runs continuously under
-		// load and must not allocate. A legacy 8-byte ack carries only
-		// the stable mark (stable == appended); the 16-byte streaming
-		// encoding adds the appended high-water mark that advances the
-		// send window.
-		var stable, appended record.LSN
-		switch len(pkt.Payload) {
-		case 8:
-			stable = record.LSN(binary.BigEndian.Uint64(pkt.Payload))
-			appended = stable
-		case 16:
-			stable = record.LSN(binary.BigEndian.Uint64(pkt.Payload[:8]))
-			appended = record.LSN(binary.BigEndian.Uint64(pkt.Payload[8:]))
-		default:
+		// Decoded inline (the WriteAckPayload layout): the streamed-ack
+		// path runs continuously under load and must not allocate. The
+		// stable mark completes forces; the appended high-water mark
+		// advances the send window.
+		if len(pkt.Payload) != 16 {
 			return
 		}
+		stable := record.LSN(binary.BigEndian.Uint64(pkt.Payload[:8]))
+		appended := record.LSN(binary.BigEndian.Uint64(pkt.Payload[8:]))
 		s.mu.Lock()
 		if stable > s.ackedHigh {
 			s.ackedHigh = stable
@@ -314,20 +303,10 @@ func (s *session) callWith(t wire.Type, payload []byte, epoch record.Epoch, recs
 		}
 		s.mu.Unlock()
 
-		var seq uint64
-		var err error
-		if recs != nil {
-			seq, err = s.peer.SendRecords(t, 0, epoch, recs)
-		} else {
-			seq, err = s.peer.Send(t, 0, payload)
-		}
+		seq, ch, err := s.sendRequest(t, payload, epoch, recs)
 		if err != nil {
 			return nil, err
 		}
-		ch := make(chan *wire.Packet, 1)
-		s.mu.Lock()
-		s.pending[seq] = ch
-		s.mu.Unlock()
 
 		timer := time.NewTimer(s.callTimeout)
 		select {
@@ -365,6 +344,29 @@ func (s *session) callWith(t wire.Type, payload []byte, epoch record.Epoch, recs
 	return nil, fmt.Errorf("%w: %s to %s", ErrCallTimeout, t, s.addr)
 }
 
+// sendRequest sends a one-shot request and returns the channel its
+// reply will arrive on. The channel is registered under the request's
+// sequence number before the request leaves, so a reply that beats
+// the sender back cannot find pending empty and be dropped. s.mu is
+// not held across the send, which may pause for flow control.
+func (s *session) sendRequest(t wire.Type, payload []byte, epoch record.Epoch, recs []record.Record) (uint64, chan *wire.Packet, error) {
+	seq, err := s.peer.Reserve(t)
+	if err != nil {
+		return 0, nil, err
+	}
+	ch := make(chan *wire.Packet, 1)
+	s.mu.Lock()
+	s.pending[seq] = ch
+	s.mu.Unlock()
+	if err := s.peer.SendReserved(seq, t, payload, epoch, recs); err != nil {
+		s.mu.Lock()
+		delete(s.pending, seq)
+		s.mu.Unlock()
+		return 0, nil, err
+	}
+	return seq, ch, nil
+}
+
 // openStream sends a ReadStream request and registers a multi-shot
 // sink for its reply chunks. The caller consumes packets from the
 // channel (nil delivery never happens; a closed channel means the
@@ -381,7 +383,9 @@ func (s *session) openStream(req *wire.ReadStreamPayload) (uint64, chan *wire.Pa
 	}
 	s.mu.Unlock()
 
-	seq, err := s.peer.Send(wire.TReadStreamReq, 0, req.Encode())
+	// Registered before the request leaves, as in sendRequest, so the
+	// first chunk cannot beat the sink into place.
+	seq, err := s.peer.Reserve(wire.TReadStreamReq)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -396,6 +400,10 @@ func (s *session) openStream(req *wire.ReadStreamPayload) (uint64, chan *wire.Pa
 	}
 	s.streams[seq] = ch
 	s.mu.Unlock()
+	if err := s.peer.SendReserved(seq, wire.TReadStreamReq, req.Encode(), 0, nil); err != nil {
+		s.closeStream(seq)
+		return 0, nil, err
+	}
 	return seq, ch, nil
 }
 

@@ -86,14 +86,19 @@ type Engine struct {
 	stable *StableStore
 	opts   Options
 
-	mu       sync.Mutex
-	quiesce  *sync.Cond
-	cache    map[string]int64
-	dirty    map[string]bool
-	nextTxn  uint64
-	active   int
-	sinceCkp int
-	stats    Stats
+	mu      sync.Mutex
+	quiesce *sync.Cond
+	cache   map[string]int64
+	dirty   map[string]bool
+	nextTxn uint64
+	active  int
+	// checkpointing holds Begin off from the moment a checkpoint has
+	// quiesced the engine until its record is in the log: a
+	// transaction that logged before the record and committed after it
+	// would be skipped by recovery.
+	checkpointing bool
+	sinceCkp      int
+	stats         Stats
 
 	locks *lockTable
 	split *splitlog.Cache
@@ -205,6 +210,9 @@ type undoEntry struct {
 func (e *Engine) Begin() *Txn {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	for e.checkpointing {
+		e.quiesce.Wait()
+	}
 	e.nextTxn++
 	e.active++
 	e.stats.Begins++
@@ -453,14 +461,21 @@ func (e *Engine) flushAllLocked() error {
 }
 
 // Checkpoint quiesces the engine (waits for active transactions to
-// finish), cleans every dirty page, and writes a checkpoint record so
-// restart recovery can begin there instead of at the head of the log
-// (a Section 5.3 space-management function).
+// finish and holds new ones off), cleans every dirty page, and writes
+// a checkpoint record so restart recovery can begin there instead of
+// at the head of the log (a Section 5.3 space-management function).
 func (e *Engine) Checkpoint() error {
 	e.mu.Lock()
-	for e.active > 0 {
+	for e.active > 0 || e.checkpointing {
 		e.quiesce.Wait()
 	}
+	e.checkpointing = true
+	defer func() {
+		e.mu.Lock()
+		e.checkpointing = false
+		e.quiesce.Broadcast()
+		e.mu.Unlock()
+	}()
 	if err := e.flushAllLocked(); err != nil {
 		e.mu.Unlock()
 		return err

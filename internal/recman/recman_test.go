@@ -701,3 +701,156 @@ func TestMediaRecoveryFromDump(t *testing.T) {
 		t.Skip("checkpoint-bounded recovery accidentally correct; scenario needs adjusting")
 	}
 }
+
+// ckptGapLog holds the checkpoint record's write open until a
+// transaction's update record is logged, or a grace period passes
+// without one: the window in which a transaction that began after the
+// checkpoint's flush could log before the checkpoint record.
+type ckptGapLog struct {
+	*testLog
+	inCkpt  chan struct{} // closed when the checkpoint record's write begins
+	updated chan struct{} // signalled by each update record's write
+}
+
+func (l *ckptGapLog) WriteLog(data []byte) (record.LSN, error) {
+	if r, err := decodeLogRec(data); err == nil {
+		switch r.op {
+		case opCheckpoint:
+			close(l.inCkpt)
+			select {
+			case <-l.updated:
+			case <-time.After(200 * time.Millisecond):
+			}
+		case opUpdate:
+			select {
+			case l.updated <- struct{}{}:
+			default:
+			}
+		}
+	}
+	return l.testLog.WriteLog(data)
+}
+
+// TestCheckpointHoldsOffNewTransactions pins the checkpoint admission
+// race: Checkpoint waited for active transactions but let new ones
+// begin while it flushed pages and wrote its record. A transaction
+// that logged an update before the checkpoint record and committed
+// after it was then lost — recovery starts at the checkpoint and skips
+// the update, and the flush had already run. Begin must wait until
+// the checkpoint record is written.
+func TestCheckpointHoldsOffNewTransactions(t *testing.T) {
+	log := &ckptGapLog{testLog: newTestLog(), inCkpt: make(chan struct{}), updated: make(chan struct{}, 1)}
+	stable := NewStableStore()
+	e := openEngine(t, log, stable, Options{})
+
+	ckptErr := make(chan error, 1)
+	go func() { ckptErr <- e.Checkpoint() }()
+	<-log.inCkpt
+	txnErr := make(chan error, 1)
+	go func() {
+		tx := e.Begin()
+		if err := tx.Set("k", 42); err != nil {
+			txnErr <- err
+			return
+		}
+		txnErr <- tx.Commit()
+	}()
+	if err := <-ckptErr; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-txnErr; err != nil {
+		t.Fatal(err)
+	}
+
+	log.crash()
+	e2 := openEngine(t, log.testLog, stable, Options{})
+	if got := e2.Get("k"); got != 42 {
+		t.Fatalf("committed k = %d after recovery, want 42", got)
+	}
+}
+
+// slowCkptLog is a truncLog with the replicated log's one-call
+// Checkpoint, which may wait out a round trip (the δ bound on
+// unacknowledged records) before the checkpoint record takes its LSN.
+type slowCkptLog struct {
+	truncLog
+}
+
+func (l *slowCkptLog) Checkpoint(data []byte) (record.LSN, error) {
+	time.Sleep(200 * time.Microsecond)
+	lsn, err := l.WriteLog(data)
+	if err != nil {
+		return 0, err
+	}
+	if err := l.Force(); err != nil {
+		return 0, err
+	}
+	return lsn, l.TruncatePrefix(lsn)
+}
+
+// TestAutomaticCheckpointsUnderConcurrentET1 is the same race under
+// load: two workers on per-worker keys share one log while a commit
+// triggers a checkpoint every 50; the log crashes right after the
+// first checkpoint, before a later one could flush a lost update back
+// into the stable store, and recovery must restore every acknowledged
+// transaction.
+func TestAutomaticCheckpointsUnderConcurrentET1(t *testing.T) {
+	scale := workload.ET1Scale{Branches: 2, Tellers: 20, Accounts: 200}
+	opts := Options{CheckpointEvery: 50, TruncateOnCheckpoint: true}
+	const workers = 2
+	for round := 0; round < 50; round++ {
+		log := &slowCkptLog{}
+		stable := NewStableStore()
+		e := openEngine(t, log, stable, opts)
+		var wg sync.WaitGroup
+		var acked [workers]int64
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				gen := workload.NewET1(scale, int64(round*workers+w))
+				p := fmt.Sprintf("w%d/", w)
+				for e.Stats().Checkpoints == 0 {
+					txn := gen.Next()
+					tx := e.Begin()
+					for _, k := range txn.Keys() {
+						if _, err := tx.Add(p+k, txn.Delta); err != nil {
+							errs <- err
+							return
+						}
+					}
+					if _, err := tx.Add(p+"history/count", 1); err != nil {
+						errs <- err
+						return
+					}
+					if err := tx.Commit(); err != nil {
+						errs <- err
+						return
+					}
+					acked[w]++
+					// Think time: a worker is often between transactions
+					// when the other's commit triggers a checkpoint, and
+					// begins its next one while that checkpoint runs.
+					time.Sleep(100 * time.Microsecond)
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+
+		log.crash()
+		e2 := openEngine(t, log, stable, opts)
+		if err := BankInvariant(e2, scale); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		for w := 0; w < workers; w++ {
+			if got := e2.Get(fmt.Sprintf("w%d/history/count", w)); got != acked[w] {
+				t.Fatalf("round %d, worker %d: history/count = %d after recovery, want %d", round, w, got, acked[w])
+			}
+		}
+	}
+}

@@ -814,7 +814,7 @@ func TestServerForcePointAcks(t *testing.T) {
 	r.handshake()
 	r.write(1, 1, 4)
 	r.recvStable(4)
-	if _, err := r.peer.SendLSN(wire.TForcePoint, 0, 4); err != nil {
+	if _, err := r.peer.Send(wire.TForcePoint, 0, (&wire.LSNPayload{LSN: 4}).Encode()); err != nil {
 		t.Fatal(err)
 	}
 	ack := r.recvStable(4)
@@ -831,7 +831,7 @@ func TestServerForcePointBeyondAppendedNacks(t *testing.T) {
 	r.handshake()
 	r.write(1, 1, 3)
 	r.recvStable(3)
-	if _, err := r.peer.SendLSN(wire.TForcePoint, 0, 7); err != nil {
+	if _, err := r.peer.Send(wire.TForcePoint, 0, (&wire.LSNPayload{LSN: 7}).Encode()); err != nil {
 		t.Fatal(err)
 	}
 	pkt := r.recv()
@@ -857,12 +857,12 @@ func TestServerForcePointFreshSessionAnchorsFromStore(t *testing.T) {
 	// at the stored high.
 	r.peer = wire.NewPeer(r.ep, "srv", 7, r.peer.ConnID+1, 0, time.Millisecond)
 	r.handshake()
-	if _, err := r.peer.SendLSN(wire.TForcePoint, 0, 3); err != nil {
+	if _, err := r.peer.Send(wire.TForcePoint, 0, (&wire.LSNPayload{LSN: 3}).Encode()); err != nil {
 		t.Fatal(err)
 	}
 	r.recvStable(3)
 	// A force point past the stored high is NACKed from the store anchor.
-	if _, err := r.peer.SendLSN(wire.TForcePoint, 0, 5); err != nil {
+	if _, err := r.peer.Send(wire.TForcePoint, 0, (&wire.LSNPayload{LSN: 5}).Encode()); err != nil {
 		t.Fatal(err)
 	}
 	pkt := r.recv()

@@ -255,9 +255,9 @@ func TestDiskStoreNVRAMTooSmall(t *testing.T) {
 	}
 }
 
-func TestFileStoreRestartRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	s, err := OpenFileStore(path)
+func TestSegStoreRestartRecovery(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSegStore(dir, SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestFileStoreRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenFileStore(path)
+	s2, err := OpenSegStore(dir, SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,9 +291,9 @@ func TestFileStoreRestartRecovery(t *testing.T) {
 	}
 }
 
-func TestFileStoreTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	s, err := OpenFileStore(path)
+func TestSegStoreTornTailTruncated(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSegStore(dir, SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,8 +305,9 @@ func TestFileStoreTornTailTruncated(t *testing.T) {
 	}
 	s.Close()
 
-	// Simulate a crash mid-append: append half a frame of garbage.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	// Simulate a crash mid-append: append half a frame of garbage to
+	// the active (here the only) segment.
+	f, err := os.OpenFile(filepath.Join(dir, segFileName(0)), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestFileStoreTornTailTruncated(t *testing.T) {
 	}
 	f.Close()
 
-	s2, err := OpenFileStore(path)
+	s2, err := OpenSegStore(dir, SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestFileStoreTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.Close()
-	s3, err := OpenFileStore(path)
+	s3, err := OpenSegStore(dir, SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,9 +343,9 @@ func TestFileStoreTornTailTruncated(t *testing.T) {
 	}
 }
 
-func TestFileStoreUninstalledCopiesDiscardedOnReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	s, err := OpenFileStore(path)
+func TestSegStoreUninstalledCopiesDiscardedOnReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSegStore(dir, SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +358,7 @@ func TestFileStoreUninstalledCopiesDiscardedOnReopen(t *testing.T) {
 	}
 	s.Close() // no InstallCopies
 
-	s2, err := OpenFileStore(path)
+	s2, err := OpenSegStore(dir, SegOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,8 +434,8 @@ func BenchmarkDiskStoreAppendForce(b *testing.B) {
 	}
 }
 
-func BenchmarkFileStoreAppendForce(b *testing.B) {
-	s, err := OpenFileStore(filepath.Join(b.TempDir(), "log"))
+func BenchmarkSegStoreAppendForce(b *testing.B) {
+	s, err := OpenSegStore(b.TempDir(), SegOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

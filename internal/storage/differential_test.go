@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"distlog/internal/disk"
@@ -12,11 +11,14 @@ import (
 	"distlog/internal/record"
 )
 
-// TestDifferentialBackends drives the memory, simulated-disk, and file
-// backends with the same random operation sequence and requires every
-// observable — append outcomes, reads, interval lists, last keys — to
-// agree exactly. The memory store is simple enough to review by eye;
-// agreement transfers that confidence to the device-backed stores.
+// TestDifferentialBackends drives the memory, simulated-disk, and
+// segmented backends with the same random operation sequence and
+// requires every observable — append outcomes, reads, interval lists,
+// last keys — to agree exactly. The memory store is simple enough to
+// review by eye; agreement transfers that confidence to the
+// device-backed stores. The segmented store runs with small segments,
+// so the sequence crosses seal boundaries, and is now and then closed
+// and reopened, so its replay must rebuild the same state.
 func TestDifferentialBackends(t *testing.T) {
 	for _, seed := range []int64{3, 17, 2026} {
 		seed := seed
@@ -39,11 +41,13 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := OpenFileStore(filepath.Join(t.TempDir(), "log"))
+	segDir := t.TempDir()
+	segOpts := SegOptions{SegmentBytes: 512}
+	ss, err := OpenSegStore(segDir, segOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores := map[string]Store{"mem": NewMemStore(), "disk": ds, "file": fs}
+	stores := map[string]Store{"mem": NewMemStore(), "disk": ds, "seg": ss}
 	defer func() {
 		for _, s := range stores {
 			s.Close()
@@ -66,7 +70,7 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 		var wantOut string
 		var wantErr error
 		first := true
-		for _, name := range []string{"mem", "disk", "file"} {
+		for _, name := range []string{"mem", "disk", "seg"} {
 			out, err := fn(stores[name])
 			if first {
 				wantOut, wantErr, first = out, err, false
@@ -154,8 +158,15 @@ func differentialRun(t *testing.T, seed int64, steps int) {
 			if target+1 >= nextLSN[c] {
 				nextLSN[c] = target + 2
 			}
-		case r < 0.97: // force
+		case r < 0.96: // force
 			apply("force", func(s Store) (string, error) { return "", s.Force() })
+		case r < 0.97: // clean restart of the segmented store
+			if err := stores["seg"].Close(); err != nil {
+				t.Fatal(err)
+			}
+			if stores["seg"], err = OpenSegStore(segDir, segOpts); err != nil {
+				t.Fatalf("step %d: reopen: %v", step, err)
+			}
 		default: // truncate
 			if maxSeen[c] < 4 {
 				continue

@@ -344,8 +344,8 @@ func (s *DiskStore) InstallCopies(c record.ClientID, epoch record.Epoch) error {
 // Truncate implements Store. The truncation point is itself written to
 // the stream so it survives power failures. Disk space is not
 // physically reclaimed (the stream is append-only by design); freeing
-// tracks is the province of spooling to offline storage, which the
-// daemon deployment performs with FileStore.Compact.
+// space is the province of spooling to offline storage, which the
+// daemon deployment's SegStore performs by compacting whole segments.
 func (s *DiskStore) Truncate(c record.ClientID, before record.LSN) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

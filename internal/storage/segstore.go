@@ -16,10 +16,10 @@ import (
 	"distlog/internal/record"
 )
 
-// SegStore is the log server's long-running durable backend (Section
-// 5.3, log space management): the same interleaved stream FileStore
-// appends to one file is cut into fixed-capacity segment files, so
-// space can be returned to the filesystem a whole segment at a time.
+// SegStore is the log server's durable backend (Section 5.3, log space
+// management): the interleaved stream is cut into fixed-capacity
+// segment files, so space can be returned to the filesystem a whole
+// segment at a time.
 // When an append would overflow the active segment, the segment is
 // synced, sealed, and a new one opened; sealed segments are immutable.
 //
@@ -216,10 +216,12 @@ func (s *SegStore) createSegment(base int64) (*segment, error) {
 }
 
 // replaySegment applies one segment's frames to the replay state. Only
-// the final (active) segment may carry a torn tail frame — it is
-// truncated away, exactly as FileStore recovers. A torn frame in a
-// sealed segment is corruption: seals sync before the next segment
-// accepts a byte, so a crash can never tear anything but the tail.
+// the final (active) segment may carry a torn tail frame from a crash
+// mid-append. It is truncated away, which is safe because a frame is
+// made stable, and so acknowledged, only by a completed Force. A torn
+// frame in a sealed segment is corruption: seals sync before the next
+// segment accepts a byte, so a crash can never tear anything but the
+// tail.
 func (s *SegStore) replaySegment(rs *replayState, g *segment, last bool) error {
 	data := make([]byte, g.size)
 	if g.size > 0 {
@@ -324,8 +326,10 @@ func (s *SegStore) Append(c record.ClientID, rec record.Record) error {
 
 // Force implements Store: fsync the active segment (sealed segments
 // were synced when they sealed). The mutex is released for the fsync
-// itself, with the same generation guard FileStore uses, so concurrent
-// appenders can join a server-side force group while the device waits.
+// itself, so concurrent appenders can join a server-side force group
+// while the device waits. Appends racing the fsync may or may not be
+// covered; the generation check leaves the store dirty for them, so
+// their own Force still syncs.
 func (s *SegStore) Force() error {
 	s.mu.Lock()
 	if s.closed {
@@ -476,8 +480,9 @@ func (s *SegStore) StageCopy(c record.ClientID, rec record.Record) error {
 	return s.stage.add(c, rec, loc)
 }
 
-// InstallCopies implements Store. As in FileStore, the commit marker
-// is synced before the install is acknowledged.
+// InstallCopies implements Store. The commit marker is synced before
+// the install is acknowledged, making the installation atomic across
+// crashes.
 func (s *SegStore) InstallCopies(c record.ClientID, epoch record.Epoch) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -305,7 +305,8 @@ func TestSegStoreCompactionSkipsTruncatedRecords(t *testing.T) {
 }
 
 func TestSegStoreCompactWithoutArchiveOnlyReclaimsDeadSegments(t *testing.T) {
-	s, err := OpenSegStore(t.TempDir(), SegOptions{SegmentBytes: 256})
+	dir := t.TempDir()
+	s, err := OpenSegStore(dir, SegOptions{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,6 +341,93 @@ func TestSegStoreCompactWithoutArchiveOnlyReclaimsDeadSegments(t *testing.T) {
 	if got, err := s.Read(c, 40); err != nil || string(got.Data) != "payload-0040" {
 		t.Fatalf("Read(40) = %v, %v", got, err)
 	}
+
+	// The store stays usable, and the compacted directory replays to
+	// the same state after a restart.
+	if err := s.Append(c, rec(41, 1, "post-compact")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Force(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2, err := OpenSegStore(dir, SegOptions{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got, err := s2.Read(c, 41); err != nil || string(got.Data) != "post-compact" {
+		t.Fatalf("Read(41) after reopen = %v, %v", got, err)
+	}
+	if _, err := s2.Read(c, 20); !errors.Is(err, ErrNotStored) {
+		t.Fatalf("Read(20) after reopen: %v, want ErrNotStored", err)
+	}
+	if lsn, _ := s2.LastKey(c); lsn != 41 {
+		t.Fatalf("LastKey after reopen = %d, want 41", lsn)
+	}
+}
+
+// An installed recovery copy that supersedes an older record at the
+// same LSN must keep winning once compaction has archived both and
+// deleted their segments, and again after the manifest seeds a
+// restart.
+func TestSegStoreCompactKeepsInstalledCopies(t *testing.T) {
+	dir := t.TempDir()
+	arch := newMemArchive()
+	opts := SegOptions{SegmentBytes: 256, Archive: arch}
+	s, err := OpenSegStore(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const c = record.ClientID(1)
+	fillSeg(t, s, c, 10)
+	if err := s.StageCopy(c, rec(10, 2, "copied")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InstallCopies(c, 2); err != nil {
+		t.Fatal(err)
+	}
+	// Fill past several seals so the copy and its install marker land
+	// in sealed, compactable segments.
+	for i := record.LSN(11); i <= 40; i++ {
+		if err := s.Append(c, rec(i, 2, fmt.Sprintf("payload-%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Truncate(c, 6); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Force(); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		ok, err := s.CompactOnce()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	if s.Boundary() == 0 {
+		t.Fatal("nothing was compacted")
+	}
+	check := func(s *SegStore, when string) {
+		t.Helper()
+		got, err := s.Read(c, 10)
+		if err != nil || got.Epoch != 2 || string(got.Data) != "copied" {
+			t.Fatalf("installed copy %s: %v, %v", when, got, err)
+		}
+		assertTruncationFloorHolds(t, s, c, 6, 40)
+	}
+	check(s, "after compaction")
+	s.Close()
+	s2, err := OpenSegStore(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	check(s2, "after reopen")
 }
 
 func TestSegStoreCompactionPinnedByPendingStage(t *testing.T) {

@@ -7,13 +7,15 @@
 //
 //   - MemStore keeps everything in memory (no durability; protocol
 //     tests and the paper's "second stage" prototype, which stored log
-//     data in server virtual memory).
+//     data in server virtual memory). It is the oracle the durable
+//     backends are checked against.
 //   - DiskStore layers the stream on the simulated track disk behind a
 //     battery-backed NVRAM buffer: appends and forces complete at
 //     memory speed, full tracks are drained to disk, and all committed
 //     data survives a power failure.
-//   - FileStore appends the same stream to an ordinary file with
-//     fsync-on-force, for the standalone UDP server daemon.
+//   - SegStore appends the same stream to a directory of segment files
+//     with fsync-on-force, and reclaims space a whole segment at a time
+//     (Section 5.3). It is the standalone UDP server daemon's store.
 package storage
 
 import (
@@ -50,7 +52,8 @@ type Store interface {
 
 	// Force makes all previously appended records stable. For the
 	// NVRAM-backed store this is a memory-speed no-op (the staging
-	// buffer is itself non-volatile); for the file store it is fsync.
+	// buffer is itself non-volatile); for the segmented store it is
+	// fsync.
 	Force() error
 
 	// Read returns the stored record with the highest epoch number for
@@ -99,8 +102,8 @@ type Store interface {
 type Usage struct {
 	// LiveBytes is the size of the online (hot) stream.
 	LiveBytes int64
-	// ReclaimableBytes is space compaction (or Compact, for the single
-	// file store) could return to the filesystem.
+	// ReclaimableBytes is space compaction could return to the
+	// filesystem.
 	ReclaimableBytes int64
 	// ArchivedBytes is the size of the write-once archive tier, when
 	// one is attached.
@@ -109,8 +112,8 @@ type Usage struct {
 	// free right now: sealed volumes (and index files) wholly below
 	// every client's truncation floor.
 	ArchiveReclaimableBytes int64
-	// Segments counts online segment files; single-file backends
-	// report 1, the memory store 0.
+	// Segments counts online segment files; the NVRAM-backed store
+	// reports 1, the memory store 0.
 	Segments int
 	// SealedSegments counts segments closed to further appends.
 	SealedSegments int

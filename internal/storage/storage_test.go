@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"distlog/internal/disk"
@@ -29,8 +28,10 @@ func backends(t *testing.T) map[string]func(t *testing.T) Store {
 			}
 			return s
 		},
+		// The segmented store at its default segment size: one
+		// segment file that never seals, as logserverd runs it.
 		"file": func(t *testing.T) Store {
-			s, err := OpenFileStore(filepath.Join(t.TempDir(), "log"))
+			s, err := OpenSegStore(t.TempDir(), SegOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

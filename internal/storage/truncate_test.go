@@ -2,8 +2,6 @@ package storage
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"distlog/internal/record"
@@ -142,102 +140,6 @@ func TestDiskStoreTruncateSurvivesCrash(t *testing.T) {
 	}
 }
 
-func TestFileStoreCompactReclaimsSpace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	s, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const c = record.ClientID(1)
-	fillClient(t, s, c, 200)
-	before, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Truncate(c, 191); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Size() >= before.Size()/2 {
-		t.Fatalf("compact did not reclaim space: %d -> %d bytes", before.Size(), after.Size())
-	}
-	// Surviving records still read; the store stays usable.
-	for i := record.LSN(191); i <= 200; i++ {
-		if _, err := s.Read(c, i); err != nil {
-			t.Fatalf("Read(%d) after compact: %v", i, err)
-		}
-	}
-	if _, err := s.Read(c, 190); !errors.Is(err, ErrNotStored) {
-		t.Fatalf("Read(190) after compact: %v", err)
-	}
-	if err := s.Append(c, rec(201, 1, "post-compact")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Force(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	// The compacted file replays correctly after a restart.
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if _, err := s2.Read(c, 201); err != nil {
-		t.Fatalf("Read(201) after reopen: %v", err)
-	}
-	if _, err := s2.Read(c, 100); !errors.Is(err, ErrNotStored) {
-		t.Fatalf("Read(100) after reopen: %v", err)
-	}
-	lsn, _ := s2.LastKey(c)
-	if lsn != 201 {
-		t.Fatalf("LastKey after reopen = %d", lsn)
-	}
-}
-
-func TestFileStoreCompactKeepsInstalledCopies(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	s, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const c = record.ClientID(1)
-	fillClient(t, s, c, 10)
-	if err := s.StageCopy(c, rec(10, 2, "copied")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.InstallCopies(c, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Truncate(c, 6); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Read(c, 10)
-	if err != nil || got.Epoch != 2 || string(got.Data) != "copied" {
-		t.Fatalf("installed copy after compact: %v, %v", got, err)
-	}
-	s.Close()
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	got, err = s2.Read(c, 10)
-	if err != nil || got.Epoch != 2 {
-		t.Fatalf("installed copy after reopen: %v, %v", got, err)
-	}
-}
-
 // assertTruncationFloorHolds checks that nothing below floor is
 // advertised or readable while records at or above it still are.
 func assertTruncationFloorHolds(t *testing.T, s Store, c record.ClientID, floor, high record.LSN) {
@@ -289,13 +191,9 @@ func TestTruncatedRangeReinstallDoesNotResurrect(t *testing.T) {
 // truncation point before the install, and the rebuilt index must not
 // resurrect the stale range either.
 func TestTruncatedRangeReinstallDoesNotResurrectAcrossCrash(t *testing.T) {
-	t.Run("file", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "log")
-		s, err := OpenFileStore(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const c = record.ClientID(1)
+	const c = record.ClientID(1)
+	reinstallBelowFloor := func(t *testing.T, s Store) {
+		t.Helper()
 		fillClient(t, s, c, 10)
 		if err := s.Truncate(c, 8); err != nil {
 			t.Fatal(err)
@@ -306,28 +204,30 @@ func TestTruncatedRangeReinstallDoesNotResurrectAcrossCrash(t *testing.T) {
 		if err := s.InstallCopies(c, 2); err != nil {
 			t.Fatal(err)
 		}
-		s.Close()
-		s2, err := OpenFileStore(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s2.Close()
-		assertTruncationFloorHolds(t, s2, c, 8, 10)
-	})
+	}
+	// "file" is one never-sealing segment, as logserverd runs the
+	// store; "seg" spreads the same history over sealed segments.
+	for name, opts := range map[string]SegOptions{"file": {}, "seg": {SegmentBytes: 256}} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := OpenSegStore(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reinstallBelowFloor(t, s)
+			s.Close()
+			s2, err := OpenSegStore(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			assertTruncationFloorHolds(t, s2, c, 8, 10)
+		})
+	}
 	t.Run("disk", func(t *testing.T) {
 		rig := newDiskRig(t, 512)
 		s := rig.open(t)
-		const c = record.ClientID(1)
-		fillClient(t, s, c, 10)
-		if err := s.Truncate(c, 8); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.StageCopy(c, rec(5, 2, "stale")); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.InstallCopies(c, 2); err != nil {
-			t.Fatal(err)
-		}
+		reinstallBelowFloor(t, s)
 		rig.crash(s)
 		s2 := rig.open(t)
 		defer s2.Close()

@@ -210,8 +210,7 @@ func DecodeLSNPayload(data []byte) (*LSNPayload, error) {
 // recorded), and Appended is the highest LSN the server has appended,
 // forced or not. Appended advances the client's send window without
 // waiting for stability; Stable alone releases records and completes
-// forces. An 8-byte payload (the pre-streaming encoding, Stable only)
-// decodes with Appended == Stable.
+// forces.
 type WriteAckPayload struct {
 	Stable   record.LSN
 	Appended record.LSN
@@ -223,21 +222,15 @@ func (p *WriteAckPayload) Encode() []byte {
 	return binary.BigEndian.AppendUint64(buf, uint64(p.Appended))
 }
 
-// DecodeWriteAckPayload parses a WriteAckPayload, accepting both the
-// 16-byte streaming encoding and the legacy 8-byte stable-only one.
+// DecodeWriteAckPayload parses a WriteAckPayload.
 func DecodeWriteAckPayload(data []byte) (*WriteAckPayload, error) {
-	switch len(data) {
-	case 8:
-		lsn := record.LSN(binary.BigEndian.Uint64(data))
-		return &WriteAckPayload{Stable: lsn, Appended: lsn}, nil
-	case 16:
-		return &WriteAckPayload{
-			Stable:   record.LSN(binary.BigEndian.Uint64(data)),
-			Appended: record.LSN(binary.BigEndian.Uint64(data[8:])),
-		}, nil
-	default:
+	if len(data) != 16 {
 		return nil, fmt.Errorf("%w: write ack payload %d bytes", ErrBadPacket, len(data))
 	}
+	return &WriteAckPayload{
+		Stable:   record.LSN(binary.BigEndian.Uint64(data)),
+		Appended: record.LSN(binary.BigEndian.Uint64(data[8:])),
+	}, nil
 }
 
 // RedirectPayload is the body of a TRedirect drain hint: the highest

@@ -151,14 +151,6 @@ func (p *Peer) SendStreamChunk(respTo uint64, index uint16, done bool, epoch rec
 	return p.send(TReadStreamData, respTo, nil, hdr[:], epoch, recs)
 }
 
-// SendLSN transmits an LSNPayload-bearing packet (NewHighLSN acks,
-// read requests) without allocating the 8-byte payload separately.
-func (p *Peer) SendLSN(t Type, respTo uint64, lsn record.LSN) (uint64, error) {
-	var scratch [8]byte
-	binary.BigEndian.PutUint64(scratch[:], uint64(lsn))
-	return p.send(t, respTo, scratch[:], nil, 0, nil)
-}
-
 // SendWriteAck transmits the cumulative write acknowledgement
 // (NewHighLSN with a WriteAckPayload) without allocating the 16-byte
 // payload separately.
@@ -170,34 +162,66 @@ func (p *Peer) SendWriteAck(respTo uint64, stable, appended record.LSN) (uint64,
 }
 
 func (p *Peer) send(t Type, respTo uint64, payload, prefix []byte, epoch record.Epoch, recs []record.Record) (uint64, error) {
-	p.mu.Lock()
-	if !p.established && t != TSyn && t != TSynAck && t != TAck && t != TRst {
-		p.mu.Unlock()
-		return 0, ErrNotEstablished
+	seq, alloc, err := p.reserve(t)
+	if err != nil {
+		return 0, err
 	}
-	seq := p.nextSeq + 1
+	return seq, p.transmit(seq, alloc, t, respTo, payload, prefix, epoch, recs)
+}
+
+// Reserve assigns the sequence number of the next packet of type t
+// without sending it, pausing first when the peer's allocation is
+// exhausted. A caller that must be ready for the reply before the
+// request can leave (a reply is matched to its request by this number)
+// registers it, then transmits with SendReserved.
+func (p *Peer) Reserve(t Type) (uint64, error) {
+	seq, _, err := p.reserve(t)
+	return seq, err
+}
+
+// reserve assigns the sequence number and returns it with the
+// allocation grant to stamp on the packet.
+func (p *Peer) reserve(t Type) (seq, alloc uint64, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.established && t != TSyn && t != TSynAck && t != TAck && t != TRst {
+		return 0, 0, ErrNotEstablished
+	}
+	seq = p.nextSeq + 1
 	if seq > p.theirAlloc && t != TRst {
 		p.stats.OverAllocWaits++
 		pause := p.overAllocPause
 		p.mu.Unlock()
 		time.Sleep(pause)
 		p.mu.Lock()
+		seq = p.nextSeq + 1 // others may have sent during the pause
 	}
 	p.nextSeq = seq
-	alloc := p.grant()
 	p.stats.Sent++
-	p.mu.Unlock()
+	return seq, p.grant(), nil
+}
 
+// SendReserved transmits a request under a sequence number from
+// Reserve: records framing when recs is non-nil (as SendRecords), the
+// plain payload otherwise (as Send).
+func (p *Peer) SendReserved(seq uint64, t Type, payload []byte, epoch record.Epoch, recs []record.Record) error {
+	p.mu.Lock()
+	alloc := p.grant()
+	p.mu.Unlock()
+	return p.transmit(seq, alloc, t, 0, payload, nil, epoch, recs)
+}
+
+func (p *Peer) transmit(seq, alloc uint64, t Type, respTo uint64, payload, prefix []byte, epoch record.Epoch, recs []record.Record) error {
 	buf := getFrame()
 	frame, err := appendFrame(*buf, t, p.ConnID, seq, alloc, respTo, p.ClientID, payload, prefix, epoch, recs)
 	if err != nil {
 		putFrame(buf)
-		return 0, err
+		return err
 	}
 	*buf = frame
 	err = p.ep.Send(p.Addr, frame)
 	putFrame(buf)
-	return seq, err
+	return err
 }
 
 // SendRst answers a stray packet with a connection reset without

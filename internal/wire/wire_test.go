@@ -186,6 +186,11 @@ func TestSmallPayloadRoundTrips(t *testing.T) {
 	if err != nil || *gotIN != *in {
 		t.Fatalf("Install: %+v, %v", gotIN, err)
 	}
+	wa := &WriteAckPayload{Stable: 7, Appended: 9}
+	gotWA, err := DecodeWriteAckPayload(wa.Encode())
+	if err != nil || *gotWA != *wa {
+		t.Fatalf("WriteAck: %+v, %v", gotWA, err)
+	}
 	ep := &ErrPayload{Code: CodeNotStored, Message: "nope"}
 	gotEP, err := DecodeErrPayload(ep.Encode())
 	if err != nil || *gotEP != *ep {
@@ -197,6 +202,9 @@ func TestSmallPayloadRoundTrips(t *testing.T) {
 	}
 	if _, err := DecodeErrPayload([]byte{0, 1, 5, 'x'}); err == nil {
 		t.Error("bad Err length accepted")
+	}
+	if _, err := DecodeWriteAckPayload((&LSNPayload{LSN: 7}).Encode()); err == nil {
+		t.Error("8-byte stable-only WriteAck accepted")
 	}
 }
 
@@ -308,6 +316,33 @@ func TestPeerOverAllocPauses(t *testing.T) {
 	}
 	if s := cp.Stats(); s.OverAllocWaits != 1 {
 		t.Fatalf("OverAllocWaits = %d", s.OverAllocWaits)
+	}
+}
+
+// Senders that pause over their allocation at the same time must still
+// get distinct sequence numbers: the receiver drops a repeated one as a
+// duplicate, so the second request would be lost.
+func TestPeerConcurrentOverAllocPausesKeepSeqsUnique(t *testing.T) {
+	n := transport.NewNetwork(1)
+	cp := NewPeer(n.Endpoint("client"), "server", 7, 100, 2 /* tiny window */, 30*time.Millisecond)
+	cp.SetEstablished()
+	for i := 0; i < 2; i++ { // use up the allocation
+		if _, err := cp.Send(TWriteLog, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seqs := make(chan uint64, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			seq, err := cp.Send(TWriteLog, 0, nil)
+			if err != nil {
+				t.Error(err)
+			}
+			seqs <- seq
+		}()
+	}
+	if a, b := <-seqs, <-seqs; a == b {
+		t.Fatalf("both paused senders got seq %d", a)
 	}
 }
 
@@ -439,7 +474,7 @@ func TestPeerSendRecordsAndLSN(t *testing.T) {
 	if _, err := cp.SendRecords(TWriteLog, 0, 2, nil); err == nil {
 		t.Fatal("SendRecords with no records should error")
 	}
-	if _, err := sp.SendLSN(TNewHighLSN, pkt.Seq, 5); err != nil {
+	if _, err := sp.SendWriteAck(pkt.Seq, 5, 6); err != nil {
 		t.Fatal(err)
 	}
 	ce := n.Endpoint("client")
@@ -454,9 +489,9 @@ func TestPeerSendRecordsAndLSN(t *testing.T) {
 	if ack.Type != TNewHighLSN || ack.RespTo != pkt.Seq {
 		t.Fatalf("ack %+v", ack)
 	}
-	lp, err := DecodeLSNPayload(ack.Payload)
-	if err != nil || lp.LSN != 5 {
-		t.Fatalf("ack payload: %+v, %v", lp, err)
+	wa, err := DecodeWriteAckPayload(ack.Payload)
+	if err != nil || wa.Stable != 5 || wa.Appended != 6 {
+		t.Fatalf("ack payload: %+v, %v", wa, err)
 	}
 }
 

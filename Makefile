@@ -4,7 +4,7 @@ GO ?= go
 # race-detector tier in `make check`.
 RACE_PKGS := ./internal/core/... ./internal/wire/... ./internal/server/... ./internal/storage/... ./internal/transport/... ./internal/telemetry/... ./internal/recman/... ./internal/locallog/... ./internal/loadassign/... ./internal/retention/...
 
-.PHONY: all build test race check bench vet fmt crashaudit soak perfbench
+.PHONY: all build test race check bench vet fmt crashaudit soak perfbench lines
 
 all: check
 
@@ -22,6 +22,11 @@ vet:
 
 fmt:
 	$(GO) fmt ./...
+
+# lines prints the net count of non-test Go lines outside perfbench/,
+# the figure the simplicity gates in ROADMAP.md are measured in.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # crashaudit kills the client (or its servers) at every registered
 # crash point, recovers, and audits the Section 3.1 invariants — a

@@ -791,8 +791,7 @@ func BenchmarkInterleaveAblation(b *testing.B) {
 // where the per-record path pays one network round trip per LSN. Run
 // over a memnet with non-zero latency so round trips cost real time —
 // the regime the cursor exists for. Each iteration opens a fresh
-// client, as restart recovery would (and so the client read cache
-// cannot serve the per-record baseline across iterations).
+// client, as restart recovery would.
 func BenchmarkRecoveryScan(b *testing.B) {
 	const records = 1024
 	cluster, err := distlog.NewCluster(distlog.ClusterOptions{Servers: 3})

@@ -17,8 +17,7 @@ import (
 // TTruncateReq: reclamation is a space optimization, so a checkpoint
 // must not fail just because a log server is down — a server that
 // misses the report reclaims at the next checkpoint. The point is
-// clamped exactly as in TruncatePrefix (the δ-record tail and
-// outstanding records are always retained).
+// clamped by advanceFloorLocked, exactly as in TruncatePrefix.
 //
 // Returns the checkpoint record's LSN: the position recovery replay
 // is bounded by.
@@ -33,31 +32,18 @@ func (l *ReplicatedLog) Checkpoint(data []byte) (record.LSN, error) {
 		l.mu.Unlock()
 		return lsn, nil
 	}
-	before := lsn
-	limit := l.nextLSN - record.LSN(l.cfg.Delta)
-	if len(l.outstanding) > 0 && l.outstanding[0].LSN < limit {
-		limit = l.outstanding[0].LSN
-	}
-	if before > limit {
-		before = limit
-	}
-	if before <= l.truncated || before <= 1 {
-		l.mu.Unlock()
-		l.m.checkpoints.Add(1)
-		return lsn, nil
-	}
-	l.truncated = before
-	l.readCache.removeBelow(before)
-	servers := append([]string(nil), l.cfg.Servers...)
+	before := l.advanceFloorLocked(lsn)
 	l.mu.Unlock()
 
-	payload := (&wire.LSNPayload{LSN: before}).Encode()
-	for _, addr := range servers {
-		sess, err := l.dial(addr)
-		if err != nil {
-			continue // fire-and-forget: the server reclaims later
+	if before != 0 {
+		payload := (&wire.LSNPayload{LSN: before}).Encode()
+		for _, addr := range l.cfg.Servers {
+			sess, err := l.dial(addr)
+			if err != nil {
+				continue // fire-and-forget: the server reclaims later
+			}
+			sess.peer.Send(wire.TTruncatePoint, 0, payload)
 		}
-		sess.peer.Send(wire.TTruncatePoint, 0, payload)
 	}
 	l.m.checkpoints.Add(1)
 	return lsn, nil

@@ -175,6 +175,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: negative ScanSpan %d", c.ScanSpan)
 	case c.StreamPackets < 0:
 		return fmt.Errorf("core: negative StreamPackets %d", c.StreamPackets)
+	case c.StreamPackets > 255:
+		// The ReadStream request carries the budget in one byte.
+		return fmt.Errorf("core: StreamPackets %d exceeds maximum 255", c.StreamPackets)
 	case c.Streams < 0:
 		return fmt.Errorf("core: negative Streams %d", c.Streams)
 	}
@@ -221,16 +224,14 @@ var connIDCounter atomic.Uint64
 // incremented under the log's mutex, so a Stats snapshot is exact and
 // internally consistent.
 type Stats struct {
-	Writes          uint64
-	Forces          uint64 // Force calls (including δ-triggered implicit forces)
-	ForceRounds     uint64 // protocol rounds actually executed (≤ Forces)
-	GroupCommits    uint64 // Force calls satisfied by riding another caller's round
-	Reads           uint64
-	ReadCacheHits   uint64
-	ReadCacheMisses uint64 // reads that went to a server (or synthesized a marker)
-	Failovers       uint64
-	Migrations      uint64 // completed write-set migrations (see Migrate)
-	Resends         uint64
+	Writes       uint64
+	Forces       uint64 // Force calls (including δ-triggered implicit forces)
+	ForceRounds  uint64 // protocol rounds actually executed (≤ Forces)
+	GroupCommits uint64 // Force calls satisfied by riding another caller's round
+	Reads        uint64
+	Failovers    uint64
+	Migrations   uint64 // completed write-set migrations (see Migrate)
+	Resends      uint64
 	// Cursor activity. These are incremented by concurrent prefetch
 	// tasks (off the client mutex), so they are monotone but not
 	// transactionally consistent with the write-path counters above.
@@ -261,7 +262,6 @@ type ReplicatedLog struct {
 	// write-set servers, in LSN order. Its length never exceeds Delta.
 	outstanding []record.Record
 	holders     *holders
-	readCache   *readCache
 	truncated   record.LSN // records below were discarded via TruncatePrefix
 	m           *clientMetrics
 	closed      bool
@@ -375,7 +375,6 @@ func newLog(cfg Config, nodeSuffix string) *ReplicatedLog {
 	l := &ReplicatedLog{
 		cfg:        cfg,
 		sessions:   make(map[string]*session),
-		readCache:  newReadCache(readCacheCap),
 		m:          newClientMetrics(cfg.Telemetry, cfg.Endpoint.Addr()+nodeSuffix),
 		streamKick: make(chan struct{}, 1),
 		streamQuit: make(chan struct{}),
@@ -529,26 +528,19 @@ func (l *ReplicatedLog) initialize() error {
 		return fmt.Errorf("%w: have %d, need %d", ErrInitQuorum, len(lists), need)
 	}
 	merged := record.Merge(lists)
+	high := merged.High()
 
 	// 2. Obtain a new epoch number, higher than any used before.
-	reps := l.cfg.EpochReps
-	if reps == nil {
-		for _, addr := range l.cfg.Servers {
-			reps = append(reps, &remoteRep{log: l, addr: addr})
-		}
-	}
-	gen, err := idgen.New(reps...)
+	epoch, err := l.freshEpoch()
 	if err != nil {
 		return err
 	}
-	epoch, err := gen.NewID()
-	if err != nil {
-		return fmt.Errorf("core: obtaining new epoch: %w", err)
-	}
 
+	// The old end of log bounds reads until step 4 writes past it.
 	l.mu.Lock()
 	l.holders = newHolders(merged)
-	l.epoch = record.Epoch(epoch)
+	l.epoch = epoch
+	l.nextLSN = high + 1
 	l.mu.Unlock()
 
 	// 3. Choose the write set: N live servers ranked by rendezvous
@@ -569,30 +561,34 @@ func (l *ReplicatedLog) initialize() error {
 
 	// 4. Crash recovery: the most recent δ records are doubtful (the
 	// previous incarnation may have partially written any of them).
-	// Copy each under the new epoch — substituting a not-present marker
-	// for positions never completed — then write δ not-present records
-	// above the old end of log, and install everything atomically.
-	high := merged.High()
+	// Copy each under the new epoch — the cursor already answers a
+	// not-present marker for positions never completed, and refuses
+	// stale lower-epoch copies — then write δ not-present records above
+	// the old end of log, and install everything atomically.
 	delta := record.LSN(l.cfg.Delta)
 	copyLow := record.LSN(1)
 	if high > delta {
 		copyLow = high - delta + 1
 	}
 	var staged []record.Record
-	for lsn := copyLow; lsn <= high; lsn++ {
-		if merged.Covered(lsn) {
-			rec, err := l.fetchRecord(lsn, merged.Servers(lsn), merged.EpochAt(lsn))
+	if high >= copyLow {
+		cur, err := l.OpenCursor(copyLow, Forward)
+		if err != nil {
+			return err
+		}
+		for lsn := copyLow; lsn <= high; lsn++ {
+			rec, err := cur.Next()
 			if err != nil {
+				cur.Close()
 				return fmt.Errorf("core: recovery read of LSN %d: %w", lsn, err)
 			}
-			rec.Epoch = l.epoch
+			rec.Epoch = epoch
 			staged = append(staged, rec)
-		} else {
-			staged = append(staged, record.Record{LSN: lsn, Epoch: l.epoch, Present: false})
 		}
+		cur.Close()
 	}
 	for lsn := high + 1; lsn <= high+delta; lsn++ {
-		staged = append(staged, record.Record{LSN: lsn, Epoch: l.epoch, Present: false})
+		staged = append(staged, record.Record{LSN: lsn, Epoch: epoch, Present: false})
 	}
 
 	for _, addr := range writeSet {
@@ -637,32 +633,6 @@ func (l *ReplicatedLog) sendCopies(sess *session, staged []record.Record) error 
 		staged = staged[n:]
 	}
 	return nil
-}
-
-// fetchRecord reads one record, trying each holder (and verifying the
-// returned epoch so a stale lower-epoch copy is never accepted).
-func (l *ReplicatedLog) fetchRecord(lsn record.LSN, servers []string, wantEpoch record.Epoch) (record.Record, error) {
-	for _, addr := range servers {
-		sess, err := l.dial(addr)
-		if err != nil {
-			continue
-		}
-		req := wire.LSNPayload{LSN: lsn}
-		resp, err := sess.call(wire.TReadForwardReq, req.Encode())
-		if err != nil {
-			continue
-		}
-		p, err := wire.DecodeRecordsPayload(resp.Payload)
-		if err != nil || len(p.Records) == 0 {
-			continue
-		}
-		for _, rec := range p.Records {
-			if rec.LSN == lsn && rec.Epoch >= wantEpoch {
-				return rec, nil
-			}
-		}
-	}
-	return record.Record{}, fmt.Errorf("%w: LSN %d on %v", ErrUnavailable, lsn, servers)
 }
 
 // Epoch returns the epoch number of this client incarnation.
@@ -1200,26 +1170,16 @@ func (l *ReplicatedLog) TruncatePrefix(before record.LSN) error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	limit := l.nextLSN - record.LSN(l.cfg.Delta)
-	if len(l.outstanding) > 0 && l.outstanding[0].LSN < limit {
-		limit = l.outstanding[0].LSN
-	}
-	if before > limit {
-		before = limit
-	}
-	if before <= l.truncated || before <= 1 {
-		l.mu.Unlock()
+	before = l.advanceFloorLocked(before)
+	l.mu.Unlock()
+	if before == 0 {
 		return nil
 	}
-	l.truncated = before
-	l.readCache.removeBelow(before)
-	servers := append([]string(nil), l.cfg.Servers...)
-	l.mu.Unlock()
 
 	payload := (&wire.LSNPayload{LSN: before}).Encode()
 	ok := 0
 	var firstErr error
-	for _, addr := range servers {
+	for _, addr := range l.cfg.Servers {
 		sess, err := l.dial(addr)
 		if err != nil {
 			if firstErr == nil {
@@ -1241,6 +1201,25 @@ func (l *ReplicatedLog) TruncatePrefix(before record.LSN) error {
 	return nil
 }
 
+// advanceFloorLocked clamps a requested truncation point so the
+// δ-record crash-recovery tail and every outstanding record are always
+// retained, and raises l.truncated to it. It returns the new floor, or
+// 0 when the clamped point does not raise it. Called with l.mu held.
+func (l *ReplicatedLog) advanceFloorLocked(before record.LSN) record.LSN {
+	limit := l.nextLSN - record.LSN(l.cfg.Delta)
+	if len(l.outstanding) > 0 && l.outstanding[0].LSN < limit {
+		limit = l.outstanding[0].LSN
+	}
+	if before > limit {
+		before = limit
+	}
+	if before <= l.truncated || before <= 1 {
+		return 0
+	}
+	l.truncated = before
+	return before
+}
+
 // Truncated returns the lowest LSN still readable (0 when nothing was
 // truncated).
 func (l *ReplicatedLog) Truncated() record.LSN {
@@ -1251,67 +1230,38 @@ func (l *ReplicatedLog) Truncated() record.LSN {
 
 // ReadRecord returns the full record (including the present flag) for
 // lsn. Most callers want ReadLog; the recovery manager uses ReadRecord
-// to skip not-present markers during scans.
+// to skip not-present markers during scans. It is a one-record cursor
+// step: the same task carving — so the same answer for truncated,
+// outstanding, uncovered and remote positions — and the same streaming
+// fetch with holder failover.
 func (l *ReplicatedLog) ReadRecord(lsn record.LSN) (record.Record, error) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return record.Record{}, ErrClosed
+	if err := l.checkPos(lsn); err != nil {
+		return record.Record{}, err
 	}
-	if lsn == 0 || lsn >= l.nextLSN {
-		l.mu.Unlock()
-		return record.Record{}, fmt.Errorf("%w: %d (end of log %d)", ErrBeyondEnd, lsn, l.nextLSN-1)
+	t := l.carveTask(lsn, Forward, 1)
+	recs, err := t.recs, t.err
+	if !t.local {
+		recs, err = l.fetchRange(t.from, t.to, t.dir, t.servers, t.epoch, 0)
 	}
-	if lsn < l.truncated {
-		// Discarded by space management: report not-present, the same
-		// answer any future incarnation will compute from the clipped
-		// interval lists.
-		l.mu.Unlock()
-		return record.Record{LSN: lsn, Present: false}, nil
-	}
-	// Unacknowledged records are served locally.
-	for _, rec := range l.outstanding {
-		if rec.LSN == lsn {
-			l.mu.Unlock()
-			return rec.Clone(), nil
-		}
-	}
-	if rec, ok := l.readCache.get(lsn); ok {
-		l.m.readCacheHits.Add(1)
-		l.m.reads.Add(1)
-		l.mu.Unlock()
-		return rec.Clone(), nil
-	}
-	l.m.readCacheMisses.Add(1)
-	servers := l.holders.serversFor(lsn)
-	wantEpoch := l.holders.epochFor(lsn)
-	l.m.reads.Add(1)
-	covered := l.holders.covered(lsn)
-	l.mu.Unlock()
-
-	if !covered {
-		// Within the log's range but on no server: a position that was
-		// never completed and not re-written by recovery (cannot happen
-		// below the δ window); report it as a not-present record so
-		// scans can skip it uniformly.
-		return record.Record{LSN: lsn, Present: false}, nil
-	}
-	// One-record streaming fetch: the same path (and the same holder
-	// failover) a cursor uses, so a single ReadRecord costs exactly one
-	// request and one reply chunk.
-	recs, err := l.fetchRange(lsn, lsn, Forward, servers, wantEpoch, 0)
 	if err != nil {
 		return record.Record{}, err
 	}
-	rec := recs[0]
-	l.mu.Lock()
-	l.cacheRecord(rec)
-	l.mu.Unlock()
-	return rec, nil
+	l.m.reads.Add(1)
+	return recs[0], nil
 }
 
-func (l *ReplicatedLog) cacheRecord(rec record.Record) {
-	l.readCache.put(rec)
+// checkPos reports ErrClosed for a closed log and ErrBeyondEnd for an
+// lsn outside 1 through EndOfLog.
+func (l *ReplicatedLog) checkPos(lsn record.LSN) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
+	if lsn == 0 || lsn >= l.nextLSN {
+		return fmt.Errorf("%w: %d (end of log %d)", ErrBeyondEnd, lsn, l.nextLSN-1)
+	}
+	return nil
 }
 
 // ReadLog returns the data of the record with the given LSN (Section
@@ -1363,6 +1313,27 @@ func (l *ReplicatedLog) Close() error {
 	}
 	l.pumpWG.Wait()
 	return nil
+}
+
+// freshEpoch obtains an epoch number higher than any used before from
+// the replicated identifier generator: the configured representatives,
+// or those hosted on the log servers themselves.
+func (l *ReplicatedLog) freshEpoch() (record.Epoch, error) {
+	reps := l.cfg.EpochReps
+	if reps == nil {
+		for _, addr := range l.cfg.Servers {
+			reps = append(reps, &remoteRep{log: l, addr: addr})
+		}
+	}
+	gen, err := idgen.New(reps...)
+	if err != nil {
+		return 0, err
+	}
+	id, err := gen.NewID()
+	if err != nil {
+		return 0, fmt.Errorf("core: obtaining new epoch: %w", err)
+	}
+	return record.Epoch(id), nil
 }
 
 // remoteRep adapts a log server's hosted epoch representative to the

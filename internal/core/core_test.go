@@ -780,7 +780,7 @@ func TestReadRecordsBackwardSkipsStaleCopies(t *testing.T) {
 	// server 3's stale disk (restored from an old copy), so its reply
 	// starts with a lower-epoch copy.
 	l.mu.Lock()
-	first := l.holders.serversFor(10)[0]
+	first := serversFor(l.holders, 10)[0]
 	l.mu.Unlock()
 	c.stop(first)
 	c.stores[first] = storage.NewMemStore()

@@ -52,23 +52,16 @@ type Cursor interface {
 
 // OpenCursor returns a streaming cursor positioned on from, scanning in
 // dir. The position must be within the log (1 through EndOfLog), as for
-// ReadRecord. ReadLog/ReadRecord remain the one-record compatibility
-// surface over the same fetch engine.
+// ReadRecord. The cursor's fetch engine is the client's only read path:
+// ReadRecord is a one-record step of it, and initialization reads the
+// doubtful window of Section 3.1.2 through a cursor.
 func (l *ReplicatedLog) OpenCursor(from record.LSN, dir Direction) (Cursor, error) {
 	if dir != Forward && dir != Backward {
 		return nil, fmt.Errorf("core: invalid cursor direction %d", int8(dir))
 	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil, ErrClosed
+	if err := l.checkPos(from); err != nil {
+		return nil, err
 	}
-	if from == 0 || from >= l.nextLSN {
-		end := l.nextLSN - 1
-		l.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d (end of log %d)", ErrBeyondEnd, from, end)
-	}
-	l.mu.Unlock()
 	c := &streamCursor{
 		l:      l,
 		dir:    dir,

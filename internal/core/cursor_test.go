@@ -3,11 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"distlog/internal/record"
 	"distlog/internal/transport"
+	"distlog/internal/wire"
 )
 
 // writeForced appends count records through l, forcing every batch, and
@@ -164,12 +167,18 @@ func TestCursorBackwardLossyMidStreamFailover(t *testing.T) {
 		st.CursorStreams, st.StreamRestarts, st.PrefetchHits, st.PrefetchWaits)
 }
 
-// TestCursorServesOutstandingAndTruncated checks the local task paths:
-// unacknowledged records come from the client's buffer, truncated
-// positions come back as markers, without any server round trip.
+// TestCursorServesOutstandingAndTruncated checks the local task paths —
+// unacknowledged records come from the client's buffer, truncated and
+// uncovered positions come back as markers, without any server round
+// trip — and that ReadRecord, a one-record step of the same engine,
+// answers every position class exactly as cursor Next does: truncated,
+// outstanding, uncovered, remote, a not-present marker, beyond the end
+// and closed. The burst write path keeps the unforced tail outstanding
+// (the streamer would release it in the background).
 func TestCursorServesOutstandingAndTruncated(t *testing.T) {
 	c := newCluster(t, "s1", "s2", "s3")
-	l := mustOpen(t, c, 1, 2)
+	burst := func(cfg *Config) { cfg.DisableWriteStream = true }
+	l := mustOpen(t, c, 1, 2, burst)
 	defer l.Close()
 
 	written := writeForced(t, l, 40)
@@ -189,19 +198,14 @@ func TestCursorServesOutstandingAndTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	seen := make(map[string]bool)
 	cur, err := l.OpenCursor(1, Forward)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cur.Close()
 	for want := record.LSN(1); want <= end; want++ {
-		rec, err := cur.Next()
-		if err != nil {
-			t.Fatalf("Next at %d: %v", want, err)
-		}
-		if rec.LSN != want {
-			t.Fatalf("got LSN %d, want %d", rec.LSN, want)
-		}
+		rec := nextAgrees(t, l, cur, want, seen)
 		switch {
 		case want < 10:
 			if rec.Present {
@@ -211,6 +215,123 @@ func TestCursorServesOutstandingAndTruncated(t *testing.T) {
 			if data, ok := written[want]; ok && (!rec.Present || string(rec.Data) != string(data)) {
 				t.Fatalf("LSN %d = %v, want %q", want, rec, data)
 			}
+		}
+	}
+	if _, err := cur.Next(); !errors.Is(err, ErrBeyondEnd) {
+		t.Fatalf("cursor Next past end = %v, want ErrBeyondEnd", err)
+	}
+	for _, lsn := range []record.LSN{0, end + 1} {
+		if _, err := l.ReadRecord(lsn); !errors.Is(err, ErrBeyondEnd) {
+			t.Fatalf("ReadRecord(%d) = %v, want ErrBeyondEnd", lsn, err)
+		}
+	}
+	l.Close()
+	if _, err := l.OpenCursor(1, Forward); !errors.Is(err, ErrClosed) {
+		t.Fatalf("OpenCursor on a closed log = %v, want ErrClosed", err)
+	}
+	if _, err := l.ReadRecord(end); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ReadRecord on a closed log = %v, want ErrClosed", err)
+	}
+
+	// The next incarnation computes the truncated prefix from the
+	// clipped interval lists: those positions are now uncovered.
+	l2 := mustOpen(t, c, 1, 2, burst)
+	defer l2.Close()
+	cur2, err := l2.OpenCursor(1, Forward)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur2.Close()
+	for want := record.LSN(1); want <= l2.EndOfLog(); want++ {
+		nextAgrees(t, l2, cur2, want, seen)
+	}
+	for _, class := range []string{"truncated", "outstanding", "uncovered", "remote", "marker"} {
+		if !seen[class] {
+			t.Errorf("no %s position was exercised", class)
+		}
+	}
+}
+
+// nextAgrees advances cur onto want and checks that ReadRecord returns
+// the same record, noting the position class carveTask files want under.
+func nextAgrees(t *testing.T, l *ReplicatedLog, cur Cursor, want record.LSN, seen map[string]bool) record.Record {
+	t.Helper()
+	l.mu.Lock()
+	class := "remote"
+	switch {
+	case len(l.outstanding) > 0 && want >= l.outstanding[0].LSN:
+		class = "outstanding"
+	case want < l.truncated:
+		class = "truncated"
+	case !l.holders.covered(want):
+		class = "uncovered"
+	}
+	l.mu.Unlock()
+	rec, err := cur.Next()
+	if err != nil || rec.LSN != want {
+		t.Fatalf("%s: Next = %+v, %v; want LSN %d", class, rec, err, want)
+	}
+	got, err := l.ReadRecord(want)
+	if err != nil || !reflect.DeepEqual(got, rec) {
+		t.Fatalf("%s LSN %d: ReadRecord = %+v, %v; cursor Next = %+v", class, want, got, err, rec)
+	}
+	if class == "remote" && !rec.Present {
+		class = "marker"
+	}
+	seen[class] = true
+	return rec
+}
+
+// countingEndpoint counts the packets a client sends, by type.
+type countingEndpoint struct {
+	transport.Endpoint
+
+	mu   sync.Mutex
+	sent map[wire.Type]int
+}
+
+func (e *countingEndpoint) Send(to string, data []byte) error {
+	if pkt, err := wire.Decode(data); err == nil {
+		e.mu.Lock()
+		e.sent[pkt.Type]++
+		e.mu.Unlock()
+	}
+	return e.Endpoint.Send(to, data)
+}
+
+// TestRestartStreamsDoubtfulWindow checks that initialization reads the
+// doubtful window [high-δ+1, high] with the cursor's ranged streams —
+// not one TReadForwardReq per LSN — and re-copies it under the new
+// epoch.
+func TestRestartStreamsDoubtfulWindow(t *testing.T) {
+	c := newCluster(t, "s1", "s2", "s3")
+	w := mustOpen(t, c, 1, 2)
+	written := writeForced(t, w, 20) // a history longer than δ = 4
+	high := w.EndOfLog()
+	w.Close()
+
+	ep := &countingEndpoint{sent: make(map[wire.Type]int)}
+	l := mustOpen(t, c, 1, 2, func(cfg *Config) {
+		ep.Endpoint = cfg.Endpoint
+		cfg.Endpoint = ep
+	})
+	defer l.Close()
+	ep.mu.Lock()
+	perRecord := ep.sent[wire.TReadForwardReq]
+	ep.mu.Unlock()
+	if perRecord != 0 {
+		t.Fatalf("restart sent %d TReadForwardReq, want 0", perRecord)
+	}
+	if st := l.Stats(); st.CursorStreams == 0 {
+		t.Fatal("restart opened no read stream")
+	}
+	for lsn := high - 3; lsn <= high; lsn++ {
+		rec, err := l.ReadRecord(lsn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rec.Present || string(rec.Data) != string(written[lsn]) || rec.Epoch != l.Epoch() {
+			t.Fatalf("re-copied LSN %d = %+v, want %q at epoch %d", lsn, rec, written[lsn], l.Epoch())
 		}
 	}
 }

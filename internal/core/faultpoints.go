@@ -37,9 +37,9 @@ const (
 	FPFailoverBeforeSwap = "client.failover.before-swap"
 	// FPCursorMidStream interrupts the cursor read path as each reply
 	// chunk is accepted — a client dying partway through a streamed
-	// recovery scan. It fires on every streaming read (single-record
-	// ReadRecord included), so the crashaudit sweep reaches it from both
-	// scans and point reads.
+	// recovery scan. It fires on every streaming read: scans, point
+	// reads (ReadRecord is a one-record cursor step) and the doubtful-
+	// window read of initialization, before any CopyLog is sent.
 	FPCursorMidStream = "core.cursor.mid-stream"
 	// FPStreamAfterSend interrupts the asynchronous write pipeline just
 	// after a plain (unforced) record frame left for a server: the

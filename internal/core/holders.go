@@ -5,7 +5,7 @@ import "distlog/internal/record"
 // holders tracks which servers store each log record: the merged
 // interval lists gathered at initialization, overlaid by the intervals
 // written (and fully acknowledged) during this epoch. This cache is
-// what lets every ReadLog be served by a single ServerReadLog call
+// what lets every read be served by one server chosen without a vote
 // (Section 3.1.2: the voting for all reads happens once, at client
 // initialization).
 type holders struct {
@@ -34,18 +34,6 @@ func (h *holders) add(epoch record.Epoch, low, high record.LSN, servers []string
 	cp := make([]string, len(servers))
 	copy(cp, servers)
 	h.live = append(h.live, liveEntry{iv: record.Interval{Epoch: epoch, Low: low, High: high}, servers: cp})
-}
-
-// serversFor returns the servers known to hold the winning copy of
-// lsn. Live entries are searched newest-first (they carry the highest
-// epochs), then the merged initialization view.
-func (h *holders) serversFor(lsn record.LSN) []string {
-	for i := len(h.live) - 1; i >= 0; i-- {
-		if h.live[i].iv.Contains(lsn) {
-			return h.live[i].servers
-		}
-	}
-	return h.merged.Servers(lsn)
 }
 
 // epochFor returns the epoch of the winning copy of lsn, or 0 when the

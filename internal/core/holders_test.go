@@ -10,13 +10,19 @@ import (
 	"distlog/internal/transport"
 )
 
+// serversFor returns the holder set segment resolves lsn to.
+func serversFor(h *holders, lsn record.LSN) []string {
+	_, servers, _ := h.segment(lsn)
+	return servers
+}
+
 func TestHoldersMergedOnly(t *testing.T) {
 	merged := record.Merge(map[string][]record.Interval{
 		"s1": {{Epoch: 1, Low: 1, High: 5}},
 		"s2": {{Epoch: 1, Low: 1, High: 5}},
 	})
 	h := newHolders(merged)
-	if got := h.serversFor(3); !reflect.DeepEqual(got, []string{"s1", "s2"}) {
+	if got := serversFor(h, 3); !reflect.DeepEqual(got, []string{"s1", "s2"}) {
 		t.Fatalf("serversFor(3) = %v", got)
 	}
 	if h.epochFor(3) != 1 {
@@ -35,14 +41,14 @@ func TestHoldersLiveOverridesMerged(t *testing.T) {
 	h := newHolders(merged)
 	// Recovery re-copied 9..10 at epoch 2 onto s2+s3.
 	h.add(2, 9, 10, []string{"s2", "s3"})
-	if got := h.serversFor(9); !reflect.DeepEqual(got, []string{"s2", "s3"}) {
+	if got := serversFor(h, 9); !reflect.DeepEqual(got, []string{"s2", "s3"}) {
 		t.Fatalf("serversFor(9) = %v", got)
 	}
 	if h.epochFor(9) != 2 {
 		t.Fatalf("epochFor(9) = %d", h.epochFor(9))
 	}
 	// Below the live entry the merged view still answers.
-	if got := h.serversFor(8); !reflect.DeepEqual(got, []string{"s1", "s2"}) {
+	if got := serversFor(h, 8); !reflect.DeepEqual(got, []string{"s1", "s2"}) {
 		t.Fatalf("serversFor(8) = %v", got)
 	}
 }
@@ -71,7 +77,7 @@ func TestHoldersNewestLiveEntryWins(t *testing.T) {
 	if h.epochFor(8) != 3 {
 		t.Fatalf("epochFor(8) = %d", h.epochFor(8))
 	}
-	if got := h.serversFor(8); !reflect.DeepEqual(got, []string{"b", "c"}) {
+	if got := serversFor(h, 8); !reflect.DeepEqual(got, []string{"b", "c"}) {
 		t.Fatalf("serversFor(8) = %v", got)
 	}
 	if h.epochFor(6) != 2 {
@@ -84,7 +90,7 @@ func TestHoldersAddCopiesServerSlice(t *testing.T) {
 	servers := []string{"a", "b"}
 	h.add(1, 1, 1, servers)
 	servers[0] = "mutated"
-	if h.serversFor(1)[0] != "a" {
+	if serversFor(h, 1)[0] != "a" {
 		t.Fatal("holders alias the caller's slice")
 	}
 }
@@ -97,10 +103,12 @@ func TestConfigValidation(t *testing.T) {
 		{"no N", Config{Servers: []string{"a", "b"}}},
 		{"too few servers", Config{N: 3, Servers: []string{"a", "b"}}},
 		{"no endpoint", Config{N: 1, Servers: []string{"a"}}},
+		// The ReadStream request carries the packet budget in one byte.
+		{"stream packets 256", Config{N: 1, Servers: []string{"a"}, Endpoint: dummyEndpoint{}, StreamPackets: 256}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Open(c.cfg); err == nil {
+			if err := c.cfg.Validate(); err == nil {
 				t.Fatal("invalid config accepted")
 			}
 		})

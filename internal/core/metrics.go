@@ -14,8 +14,6 @@ const (
 	mForceRounds     = "client.force_rounds"
 	mGroupCommits    = "client.group_commits"
 	mReads           = "client.reads"
-	mReadCacheHits   = "client.read_cache_hits"
-	mReadCacheMisses = "client.read_cache_misses"
 	mFailovers       = "client.failovers"
 	mMigrations      = "client.migrations"
 	mCheckpoints     = "client.checkpoints"
@@ -53,17 +51,15 @@ type clientMetrics struct {
 	node  string
 	trace *telemetry.Trace
 
-	writes          *telemetry.Counter
-	forces          *telemetry.Counter
-	forceRounds     *telemetry.Counter
-	groupCommits    *telemetry.Counter
-	reads           *telemetry.Counter
-	readCacheHits   *telemetry.Counter
-	readCacheMisses *telemetry.Counter
-	failovers       *telemetry.Counter
-	migrations      *telemetry.Counter
-	checkpoints     *telemetry.Counter
-	resends         *telemetry.Counter
+	writes       *telemetry.Counter
+	forces       *telemetry.Counter
+	forceRounds  *telemetry.Counter
+	groupCommits *telemetry.Counter
+	reads        *telemetry.Counter
+	failovers    *telemetry.Counter
+	migrations   *telemetry.Counter
+	checkpoints  *telemetry.Counter
+	resends      *telemetry.Counter
 
 	waiterAcks     *telemetry.Counter
 	waiterNacks    *telemetry.Counter
@@ -123,8 +119,6 @@ func newClientMetrics(reg *telemetry.Registry, node string) *clientMetrics {
 		forceRounds:     reg.Counter(mForceRounds),
 		groupCommits:    reg.Counter(mGroupCommits),
 		reads:           reg.Counter(mReads),
-		readCacheHits:   reg.Counter(mReadCacheHits),
-		readCacheMisses: reg.Counter(mReadCacheMisses),
 		failovers:       reg.Counter(mFailovers),
 		migrations:      reg.Counter(mMigrations),
 		checkpoints:     reg.Counter(mCheckpoints),
@@ -169,23 +163,21 @@ func (m *clientMetrics) enableStreamCounters(reg *telemetry.Registry, i int) {
 // GroupCommits always holds within one snapshot).
 func (m *clientMetrics) statsLocked() Stats {
 	return Stats{
-		Writes:          m.writes.Value(),
-		Forces:          m.forces.Value(),
-		ForceRounds:     m.forceRounds.Value(),
-		GroupCommits:    m.groupCommits.Value(),
-		Reads:           m.reads.Value(),
-		ReadCacheHits:   m.readCacheHits.Value(),
-		ReadCacheMisses: m.readCacheMisses.Value(),
-		Failovers:       m.failovers.Value(),
-		Migrations:      m.migrations.Value(),
-		Resends:         m.resends.Value(),
-		CursorStreams:   m.cursorStreams.Value(),
-		StreamRestarts:  m.streamRestarts.Value(),
-		PrefetchHits:    m.prefetchHits.Value(),
-		PrefetchWaits:   m.prefetchWaits.Value(),
-		StreamFrames:    m.streamFrames.Value(),
-		StreamBusy:      m.streamBusy.Value(),
-		StreamBackoffs:  m.streamBackoffs.Value(),
-		StreamTimeouts:  m.streamTimeouts.Value(),
+		Writes:         m.writes.Value(),
+		Forces:         m.forces.Value(),
+		ForceRounds:    m.forceRounds.Value(),
+		GroupCommits:   m.groupCommits.Value(),
+		Reads:          m.reads.Value(),
+		Failovers:      m.failovers.Value(),
+		Migrations:     m.migrations.Value(),
+		Resends:        m.resends.Value(),
+		CursorStreams:  m.cursorStreams.Value(),
+		StreamRestarts: m.streamRestarts.Value(),
+		PrefetchHits:   m.prefetchHits.Value(),
+		PrefetchWaits:  m.prefetchWaits.Value(),
+		StreamFrames:   m.streamFrames.Value(),
+		StreamBusy:     m.streamBusy.Value(),
+		StreamBackoffs: m.streamBackoffs.Value(),
+		StreamTimeouts: m.streamTimeouts.Value(),
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"distlog/internal/faultpoint"
-	"distlog/internal/idgen"
-	"distlog/internal/record"
 	"distlog/internal/telemetry"
 	"distlog/internal/wire"
 )
@@ -86,21 +84,10 @@ func (l *ReplicatedLog) Migrate(newSet []string) error {
 
 	// 1. Fresh epoch. Same representative quorum as initialization; the
 	// leaving server (if any) still answers epoch reads while draining.
-	reps := l.cfg.EpochReps
-	if reps == nil {
-		for _, addr := range l.cfg.Servers {
-			reps = append(reps, &remoteRep{log: l, addr: addr})
-		}
-	}
-	gen, err := idgen.New(reps...)
-	if err != nil {
-		return fmt.Errorf("core: migrate epoch quorum: %w", err)
-	}
-	epoch, err := gen.NewID()
+	newEpoch, err := l.freshEpoch()
 	if err != nil {
 		return fmt.Errorf("core: migrate epoch: %w", err)
 	}
-	newEpoch := record.Epoch(epoch)
 
 	faultpoint.Hit(FPMigrateBeforeAnchor)
 

@@ -53,8 +53,8 @@ type fetchTask struct {
 
 // step returns the scan-order successor of lsn; 0 when a backward scan
 // steps below LSN 1.
-func (c *streamCursor) step(lsn record.LSN) record.LSN {
-	if c.dir == Forward {
+func (d Direction) step(lsn record.LSN) record.LSN {
+	if d == Forward {
 		return lsn + 1
 	}
 	if lsn <= 1 {
@@ -68,12 +68,12 @@ func (c *streamCursor) step(lsn record.LSN) record.LSN {
 // (lock order: cursor.mu before l.mu, never the reverse).
 func (c *streamCursor) refillLocked() {
 	for len(c.tasks) < c.l.cfg.ReadAhead {
-		t := c.carveTask(c.carve)
+		t := c.l.carveTask(c.carve, c.dir, c.l.cfg.ScanSpan)
 		if t == nil {
 			break // end of scan, or log end on a forward scan (re-checked next refill)
 		}
 		c.tasks = append(c.tasks, t)
-		c.carve = c.step(t.to)
+		c.carve = c.dir.step(t.to)
 		if t.local {
 			continue
 		}
@@ -85,22 +85,22 @@ func (c *streamCursor) refillLocked() {
 	c.l.m.windowOccupancy.Observe(uint64(len(c.tasks)))
 }
 
-// carveTask classifies the scan position start and cuts one task
-// there, consulting the log's state under l.mu. It returns nil when
+// carveTask classifies the scan position start and cuts one task of at
+// most span LSNs there, consulting the log's state under l.mu. It is
+// the client's one classification of read positions: cursors carve
+// Config.ScanSpan at a time, ReadRecord carves one. It returns nil when
 // nothing can be carved now: the scan is exhausted, or a forward scan
 // has caught up with the end of the log (new writes may extend it
 // before the next refill).
-func (c *streamCursor) carveTask(start record.LSN) *fetchTask {
-	l := c.l
+func (l *ReplicatedLog) carveTask(start record.LSN, dir Direction, span int) *fetchTask {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return &fetchTask{from: start, to: start, dir: c.dir, local: true, err: ErrClosed}
+		return &fetchTask{from: start, to: start, dir: dir, local: true, err: ErrClosed}
 	}
-	if start == 0 || (c.dir == Forward && start >= l.nextLSN) {
+	if start == 0 || (dir == Forward && start >= l.nextLSN) {
 		return nil
 	}
-	span := l.cfg.ScanSpan
 	var outLow, outHigh record.LSN
 	if len(l.outstanding) > 0 {
 		outLow = l.outstanding[0].LSN
@@ -112,11 +112,11 @@ func (c *streamCursor) carveTask(start record.LSN) *fetchTask {
 	if inOutstanding(start) {
 		// Unacknowledged records are served from the client's own
 		// buffer; outstanding holds consecutive LSNs starting at outLow.
-		t := &fetchTask{from: start, to: start, dir: c.dir, local: true}
+		t := &fetchTask{from: start, to: start, dir: dir, local: true}
 		for lsn, n := start, 0; n < span && inOutstanding(lsn); n++ {
 			t.recs = append(t.recs, l.outstanding[int(lsn-outLow)].Clone())
 			t.to = lsn
-			lsn = c.step(lsn)
+			lsn = dir.step(lsn)
 			if lsn == 0 {
 				break
 			}
@@ -127,8 +127,8 @@ func (c *streamCursor) carveTask(start record.LSN) *fetchTask {
 		// Remote range: clip to the holder segment, the span, the log
 		// end, and (backward) the truncation point.
 		iv, servers, _ := l.holders.segment(start)
-		t := &fetchTask{from: start, to: start, dir: c.dir, servers: servers, epoch: iv.Epoch}
-		if c.dir == Forward {
+		t := &fetchTask{from: start, to: start, dir: dir, servers: servers, epoch: iv.Epoch}
+		if dir == Forward {
 			to := start + record.LSN(span) - 1
 			if to > iv.High {
 				to = iv.High
@@ -156,10 +156,10 @@ func (c *streamCursor) carveTask(start record.LSN) *fetchTask {
 		return t
 	}
 	// Truncated or uncovered positions: materialize not-present markers
-	// locally, the same answer ReadRecord gives for them.
-	t := &fetchTask{from: start, to: start, dir: c.dir, local: true}
+	// locally.
+	t := &fetchTask{from: start, to: start, dir: dir, local: true}
 	for lsn, n := start, 0; n < span && lsn != 0; n++ {
-		if c.dir == Forward && lsn >= l.nextLSN {
+		if dir == Forward && lsn >= l.nextLSN {
 			break
 		}
 		if inOutstanding(lsn) || (lsn >= l.truncated && l.holders.covered(lsn)) {
@@ -167,7 +167,7 @@ func (c *streamCursor) carveTask(start record.LSN) *fetchTask {
 		}
 		t.recs = append(t.recs, record.Record{LSN: lsn, Present: false})
 		t.to = lsn
-		lsn = c.step(lsn)
+		lsn = dir.step(lsn)
 	}
 	return t
 }
@@ -191,7 +191,7 @@ func (c *streamCursor) Next() (record.Record, error) {
 			if rec.LSN != c.pos {
 				return record.Record{}, fmt.Errorf("core: cursor out of sequence: got LSN %d, want %d", rec.LSN, c.pos)
 			}
-			c.pos = c.step(c.pos)
+			c.pos = c.dir.step(c.pos)
 			c.refillLocked()
 			c.l.m.reads.Add(1)
 			return rec, nil
@@ -235,18 +235,9 @@ func (c *streamCursor) Seek(lsn record.LSN) error {
 	if c.closed {
 		return ErrClosed
 	}
-	l := c.l
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
+	if err := c.l.checkPos(lsn); err != nil {
+		return err
 	}
-	if lsn == 0 || lsn >= l.nextLSN {
-		end := l.nextLSN - 1
-		l.mu.Unlock()
-		return fmt.Errorf("%w: %d (end of log %d)", ErrBeyondEnd, lsn, end)
-	}
-	l.mu.Unlock()
 	// In-flight remote fetches for the old position finish on their own
 	// goroutines and are discarded with the task window.
 	c.pos, c.carve = lsn, lsn
@@ -273,8 +264,7 @@ func (c *streamCursor) Close() error {
 // failing over to the next on timeout, sequence break, or stale-epoch
 // data — resuming mid-range from wherever the last stream stopped. rot
 // rotates which holder is tried first so concurrent tasks of one
-// cursor fan out across the set. Results never populate the read cache
-// (a scan would evict the point-read working set).
+// cursor fan out across the set.
 func (l *ReplicatedLog) fetchRange(from, to record.LSN, dir Direction, servers []string, wantEpoch record.Epoch, rot int) ([]record.Record, error) {
 	forward := dir == Forward
 	total := int(to - from + 1)

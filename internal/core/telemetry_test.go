@@ -246,7 +246,7 @@ func TestSharedRegistryMetricNames(t *testing.T) {
 	snap := reg.Snapshot()
 	for _, name := range []string{
 		"client.writes", "client.forces", "client.force_rounds",
-		"client.group_commits", "client.reads", "client.read_cache_hits",
+		"client.group_commits", "client.reads",
 		"client.failovers", "client.resends", "client.force.acks",
 		"client.force.nacks", "client.force.timeouts",
 		"server.packets_received", "server.packets_dropped",

@@ -19,7 +19,7 @@ import (
 // incarnation must take a higher epoch, and a stale lower-epoch copy
 // left behind on a server that missed a later recovery must never be
 // surfaced by a read (the merge keeps only highest-epoch holders, and
-// fetchRecord re-checks the epoch of every record it accepts).
+// streamRange refuses every record with rec.Epoch < wantEpoch).
 func TestTornRecoveryConverges(t *testing.T) {
 	faultpoint.Reset()
 	t.Cleanup(faultpoint.Reset)
@@ -114,8 +114,8 @@ func TestTornRecoveryConverges(t *testing.T) {
 	// Incarnation 4 recovers with s1 back. s1 still reports the
 	// phantom as a present epoch-1 record in its interval list, and
 	// still holds the orphaned epoch-5 stage; the merge's
-	// highest-epoch-wins sweep (backstopped by fetchRecord's
-	// rec.Epoch >= wantEpoch check) must keep both out of the log, so
+	// highest-epoch-wins sweep (backstopped by streamRange's
+	// rec.Epoch < wantEpoch check) must keep both out of the log, so
 	// the not-present outcome sticks.
 	c.start("s1")
 	l4 := mustOpen(t, c, id, 2)
